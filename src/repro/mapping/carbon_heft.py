@@ -7,7 +7,9 @@ module implements the first pass as a drop-in alternative to
 :func:`repro.mapping.heft.heft_mapping`:
 
 * the rank phase is identical to HEFT (upward ranks);
-* the processor-selection phase minimises a convex combination of the task's
+* the processor-selection phase runs HEFT's own placement loop
+  (:func:`repro.mapping.heft.place_tasks`) but, among the insertion-policy
+  candidates, picks the one minimising a convex combination of the task's
   earliest finish time and the *energy* the task would draw on the candidate
   processor (duration × (idle + working power), normalised by the
   platform-wide maxima), controlled by ``power_weight ∈ [0, 1]``:
@@ -22,10 +24,9 @@ scheduler, realising the two-pass approach end to end (see the
 
 from __future__ import annotations
 
-from typing import Dict, Hashable, List, Optional, Tuple
+from typing import List
 
-from repro.mapping.heft import HeftResult, _earliest_slot, _insert_slot, upward_ranks
-from repro.mapping.mapping import Mapping
+from repro.mapping.heft import Candidate, HeftResult, place_tasks, rank_phase
 from repro.platform_.cluster import Cluster
 from repro.utils.errors import InvalidMappingError
 from repro.utils.validation import check_probability
@@ -66,11 +67,11 @@ def carbon_aware_heft_mapping(
     if bandwidth <= 0:
         raise InvalidMappingError(f"bandwidth must be positive, got {bandwidth}")
     workflow.validate()
-    ranks = upward_ranks(workflow, cluster, bandwidth=bandwidth)
-    priority: List[Hashable] = sorted(workflow.tasks(), key=lambda task: -ranks[task])
+    durations, ranks = rank_phase(workflow, cluster, bandwidth)
 
     processors = cluster.processors()
-    max_active_power = max(spec.total_power for spec in processors) or 1
+    total_power = [spec.total_power for spec in processors]
+    max_active_power = max(total_power) or 1
     # Normalise the finish-time term by a crude serial upper bound so both
     # objective terms live on comparable scales.
     slowest = min(spec.speed for spec in processors)
@@ -78,54 +79,17 @@ def carbon_aware_heft_mapping(
         1.0, workflow.total_work() / slowest + workflow.total_data() / bandwidth
     )
 
-    assignment: Dict[Hashable, Hashable] = {}
-    start_times: Dict[Hashable, int] = {}
-    finish_times: Dict[Hashable, int] = {}
-    busy: Dict[Hashable, List[Tuple[int, int, Hashable]]] = {p.name: [] for p in processors}
+    def objective(candidate: Candidate):
+        finish, start, proc = candidate
+        energy = (finish - start) * total_power[proc]
+        score = (1.0 - power_weight) * (finish / horizon_scale) + power_weight * (
+            energy / (horizon_scale * max_active_power)
+        )
+        return score, finish, start
 
-    for task in priority:
-        work = workflow.work(task)
-        best_score: Optional[float] = None
-        best: Optional[Tuple[int, int, Hashable]] = None
-        for proc in processors:
-            duration = proc.execution_time(work)
-            ready = 0
-            for predecessor in workflow.predecessors(task):
-                comm = 0
-                if assignment[predecessor] != proc.name:
-                    volume = workflow.data(predecessor, task)
-                    comm = int(-(-volume // bandwidth)) if volume > 0 else 0
-                ready = max(ready, finish_times[predecessor] + comm)
-            start = _earliest_slot(busy[proc.name], ready, duration)
-            finish = start + duration
-            energy = duration * proc.total_power
-            score = (1.0 - power_weight) * (finish / horizon_scale) + power_weight * (
-                energy / (horizon_scale * max_active_power)
-            )
-            if best_score is None or (score, finish, start) < (
-                best_score,
-                best[0] if best else 0,
-                best[1] if best else 0,
-            ):
-                best_score = score
-                best = (finish, start, proc.name)
-        assert best is not None
-        finish, start, proc_name = best
-        assignment[task] = proc_name
-        start_times[task] = start
-        finish_times[task] = finish
-        _insert_slot(busy[proc_name], (start, finish, task))
+    def choose(candidates: List[Candidate]) -> Candidate:
+        # min() keeps the first of equal keys: ties go to the processor
+        # declared first.
+        return min(candidates, key=objective)
 
-    processor_order = {
-        proc_name: [task for _, _, task in sorted(slots)]
-        for proc_name, slots in busy.items()
-        if slots
-    }
-    mapping = Mapping(workflow, cluster, assignment, processor_order=processor_order)
-    return HeftResult(
-        mapping=mapping,
-        start_times=start_times,
-        finish_times=finish_times,
-        makespan=max(finish_times.values(), default=0),
-        ranks=ranks,
-    )
+    return place_tasks(workflow, cluster, durations, ranks, bandwidth, choose)

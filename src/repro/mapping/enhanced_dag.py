@@ -25,7 +25,7 @@ import networkx as nx
 from repro.mapping.mapping import Mapping
 from repro.platform_.cluster import ExtendedPlatform, link_name
 from repro.platform_.processor import ProcessorSpec
-from repro.utils.errors import InvalidMappingError
+from repro.utils.errors import CyclicWorkflowError, InvalidMappingError
 from repro.utils.ordering import topological_order
 from repro.utils.rng import RNGLike
 from repro.workflow.task import CommTask
@@ -59,12 +59,13 @@ class EnhancedDAG:
         self._platform = platform
         self._mapping = mapping
         self._processor_tasks = processor_tasks
-        if not nx.is_directed_acyclic_graph(graph):
+        try:
+            self._order = topological_order(graph)
+        except CyclicWorkflowError as exc:
             raise InvalidMappingError(
                 "the communication-enhanced DAG contains a cycle; the mapping's "
                 "orderings are inconsistent with the precedence constraints"
-            )
-        self._order = topological_order(graph)
+            ) from exc
         # Read-only maps shared by the scheduling kernels: the DAG is
         # immutable after construction, so durations and adjacency are
         # materialised once instead of being re-chased through the graph on

@@ -12,7 +12,14 @@ module is that implementation:
    uniformly chosen processors differ.
 2. *Processor-selection phase*: tasks are processed in non-increasing rank
    order; each is placed on the processor minimising its earliest finish time
-   (EFT), using the standard insertion policy that may fill idle gaps.
+   (EFT), using the standard insertion policy: the task starts in the
+   earliest idle gap of the processor that begins no earlier than the task's
+   data-ready time and is long enough to hold it, or after the processor's
+   last busy slot if no gap fits.
+
+The processor-selection loop (:func:`place_tasks`) is shared with the
+carbon-aware first pass in :mod:`repro.mapping.carbon_heft`, which only
+changes how the candidate placements of a task are compared.
 
 The result is returned both as a :class:`~repro.mapping.mapping.Mapping`
 (assignment + per-processor order + per-link communication order, which is
@@ -22,17 +29,20 @@ times) for inspection.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Hashable, List, Optional, Tuple
+from bisect import bisect_right
+from dataclasses import dataclass
+from typing import Callable, Dict, Hashable, List, Sequence, Tuple
 
 from repro.mapping.mapping import Mapping
 from repro.platform_.cluster import Cluster
+from repro.platform_.processor import ProcessorSpec
 from repro.utils.errors import InvalidMappingError
 from repro.workflow.dag import Workflow
 
 __all__ = ["HeftResult", "heft_mapping", "upward_ranks"]
 
-Edge = Tuple[Hashable, Hashable]
+#: A candidate placement of one task: (finish, start, processor index).
+Candidate = Tuple[int, int, int]
 
 
 @dataclass
@@ -75,25 +85,7 @@ def upward_ranks(
     its data volume divided by the bandwidth, multiplied by the probability
     ``(P - 1) / P`` that the two endpoints land on different processors.
     """
-    if bandwidth <= 0:
-        raise InvalidMappingError(f"bandwidth must be positive, got {bandwidth}")
-    processors = cluster.processors()
-    num_procs = len(processors)
-    cross_probability = (num_procs - 1) / num_procs if num_procs > 1 else 0.0
-
-    avg_cost: Dict[Hashable, float] = {}
-    for task in workflow.tasks():
-        work = workflow.work(task)
-        avg_cost[task] = sum(p.execution_time(work) for p in processors) / num_procs
-
-    ranks: Dict[Hashable, float] = {}
-    for task in reversed(workflow.topological_order()):
-        best_successor = 0.0
-        for successor in workflow.successors(task):
-            comm = workflow.data(task, successor) / bandwidth * cross_probability
-            best_successor = max(best_successor, comm + ranks[successor])
-        ranks[task] = avg_cost[task] + best_successor
-    return ranks
+    return rank_phase(workflow, cluster, bandwidth)[1]
 
 
 def heft_mapping(
@@ -115,89 +107,190 @@ def heft_mapping(
 
     Notes
     -----
-    Ties in the priority list are broken by task insertion order (no special
-    tie-breaking, as in the paper).  The insertion policy scans the idle gaps
-    of each processor and places the task in the earliest gap that fits.
+    Ties in the priority list are broken by task insertion order, and ties
+    between processors by processor declaration order (no special
+    tie-breaking, as in the paper).  The insertion policy places the task in
+    the earliest idle gap of a processor that fits.
     """
     workflow.validate()
-    ranks = upward_ranks(workflow, cluster, bandwidth=bandwidth)
+    durations, ranks = rank_phase(workflow, cluster, bandwidth)
+    # The least (finish, start, index) is the first processor, in declaration
+    # order, with the earliest finish and, among those, the earliest start.
+    return place_tasks(workflow, cluster, durations, ranks, bandwidth, min)
 
-    # Non-increasing rank order; stable sort keeps insertion order for ties.
-    priority: List[Hashable] = sorted(
-        workflow.tasks(), key=lambda task: -ranks[task]
-    )
 
+# --------------------------------------------------------------------------- #
+# The two phases, shared with the carbon-aware first pass
+# --------------------------------------------------------------------------- #
+def rank_phase(
+    workflow: Workflow, cluster: Cluster, bandwidth: float
+) -> Tuple[Dict[Hashable, List[int]], Dict[Hashable, float]]:
+    """Return the per-processor duration table and the upward ranks.
+
+    The table maps every task to its running time on each processor of
+    *cluster* (declaration order).  A running time depends only on the
+    processor speed, so it is computed once per distinct speed.
+    """
+    if bandwidth <= 0:
+        raise InvalidMappingError(f"bandwidth must be positive, got {bandwidth}")
     processors = cluster.processors()
-    assignment: Dict[Hashable, Hashable] = {}
+    num_procs = len(processors)
+    durations = _duration_table(workflow, processors)
+
+    cross_probability = (num_procs - 1) / num_procs if num_procs > 1 else 0.0
+    successors = workflow.graph.succ
+    ranks: Dict[Hashable, float] = {}
+    for task in reversed(workflow.topological_order()):
+        best_successor = 0.0
+        for successor, attrs in successors[task].items():
+            comm = attrs["data"] / bandwidth * cross_probability
+            best_successor = max(best_successor, comm + ranks[successor])
+        ranks[task] = sum(durations[task]) / num_procs + best_successor
+    return durations, ranks
+
+
+def _duration_table(
+    workflow: Workflow, processors: Sequence[ProcessorSpec]
+) -> Dict[Hashable, List[int]]:
+    speeds = [spec.speed for spec in processors]
+    first_of_speed: Dict[float, ProcessorSpec] = {}
+    for spec in processors:
+        first_of_speed.setdefault(spec.speed, spec)
+    table: Dict[Hashable, List[int]] = {}
+    for task, work in workflow.graph.nodes(data="work"):
+        by_speed = {
+            speed: spec.execution_time(int(work)) for speed, spec in first_of_speed.items()
+        }
+        table[task] = [by_speed[speed] for speed in speeds]
+    return table
+
+
+def place_tasks(
+    workflow: Workflow,
+    cluster: Cluster,
+    durations: Dict[Hashable, List[int]],
+    ranks: Dict[Hashable, float],
+    bandwidth: float,
+    choose: Callable[[List[Candidate]], Candidate],
+) -> HeftResult:
+    """Run the processor-selection phase and build the :class:`HeftResult`.
+
+    Tasks are taken in non-increasing rank order (stable, so ties keep the
+    workflow's insertion order).  For each task, the earliest insertion-policy
+    placement on every processor is computed and *choose* picks one of these
+    candidates, given in processor declaration order.
+
+    Raises
+    ------
+    InvalidMappingError
+        If a task comes before one of its predecessors in the rank order.
+    """
+    priority: List[Hashable] = sorted(workflow.tasks(), key=lambda task: -ranks[task])
+    names = cluster.processor_names()
+    num_procs = len(names)
+    slots = [ProcessorSlots() for _ in names]
+    predecessors = workflow.graph.pred
+    placed_on: Dict[Hashable, int] = {}
     start_times: Dict[Hashable, int] = {}
     finish_times: Dict[Hashable, int] = {}
-    # Occupied slots per processor, kept sorted by start time.
-    busy: Dict[Hashable, List[Tuple[int, int, Hashable]]] = {p.name: [] for p in processors}
 
     for task in priority:
-        work = workflow.work(task)
-        best: Optional[Tuple[int, int, Hashable]] = None  # (finish, start, processor)
-        for proc in processors:
-            duration = proc.execution_time(work)
-            ready = 0
-            for predecessor in workflow.predecessors(task):
-                if predecessor not in finish_times:
-                    # Predecessor has lower rank — allowed by HEFT only if the
-                    # rank computation failed; guard explicitly.
-                    raise InvalidMappingError(
-                        "HEFT priority order is not a topological order; "
-                        "check the workflow weights"
-                    )
-                comm = 0
-                if assignment[predecessor] != proc.name:
-                    comm_volume = workflow.data(predecessor, task)
-                    comm = int(-(-comm_volume // bandwidth)) if comm_volume > 0 else 0
-                ready = max(ready, finish_times[predecessor] + comm)
-            start = _earliest_slot(busy[proc.name], ready, duration)
-            finish = start + duration
-            if best is None or (finish, start) < (best[0], best[1]):
-                best = (finish, start, proc.name)
-        assert best is not None
-        finish, start, proc_name = best
-        assignment[task] = proc_name
+        # Predecessor facts, grouped by the processor that ran them: the
+        # latest finish (what a successor on that processor waits for) and
+        # the latest finish plus communication (what any other waits for).
+        latest_finish: Dict[int, int] = {}
+        latest_arrival: Dict[int, int] = {}
+        for predecessor, attrs in predecessors[task].items():
+            if predecessor not in finish_times:
+                raise InvalidMappingError(
+                    "HEFT priority order is not a topological order; "
+                    "check the workflow weights"
+                )
+            proc = placed_on[predecessor]
+            finish = finish_times[predecessor]
+            volume = attrs["data"]
+            arrival = finish + (int(-(-volume // bandwidth)) if volume > 0 else 0)
+            if finish > latest_finish.get(proc, 0):
+                latest_finish[proc] = finish
+            if arrival > latest_arrival.get(proc, 0):
+                latest_arrival[proc] = arrival
+        ready = [max(latest_arrival.values(), default=0)] * num_procs
+        for proc, finish in latest_finish.items():
+            ready[proc] = max(
+                [finish] + [t for other, t in latest_arrival.items() if other != proc]
+            )
+
+        row = durations[task]
+        candidates: List[Candidate] = []
+        for proc in range(num_procs):
+            start = slots[proc].earliest_start(ready[proc], row[proc])
+            candidates.append((start + row[proc], start, proc))
+        finish, start, proc = choose(candidates)
+        slots[proc].insert(start, finish, task)
+        placed_on[task] = proc
         start_times[task] = start
         finish_times[task] = finish
-        _insert_slot(busy[proc_name], (start, finish, task))
 
+    assignment = {task: names[proc] for task, proc in placed_on.items()}
     processor_order = {
-        proc_name: [task for _, _, task in sorted(slots)]
-        for proc_name, slots in busy.items()
-        if slots
+        name: busy.tasks() for name, busy in zip(names, slots) if busy.starts
     }
     mapping = Mapping(workflow, cluster, assignment, processor_order=processor_order)
-    makespan = max(finish_times.values(), default=0)
     return HeftResult(
         mapping=mapping,
         start_times=start_times,
         finish_times=finish_times,
-        makespan=makespan,
+        makespan=max(finish_times.values(), default=0),
         ranks=ranks,
     )
 
 
-# --------------------------------------------------------------------------- #
-# Insertion policy helpers
-# --------------------------------------------------------------------------- #
-def _earliest_slot(slots: List[Tuple[int, int, Hashable]], ready: int, duration: int) -> int:
-    """Return the earliest start >= *ready* of a gap of length *duration*.
+class ProcessorSlots:
+    """The busy time of one processor and the tasks placed on it.
 
-    *slots* is the sorted list of (start, finish, task) occupied intervals of
-    one processor.
+    Busy time is kept as maximal intervals: ``starts`` and ``finishes`` are
+    parallel sorted lists, and a task placed right against a busy interval
+    extends it instead of adding one.  A task runs for at least one time unit,
+    so a boundary between two back-to-back tasks can never take a task; the
+    gap search therefore sees the same idle gaps as a scan over every task
+    slot, while it bisects past everything that ends by the ready time and
+    then visits one interval per idle gap.
     """
-    candidate = ready
-    for slot_start, slot_finish, _ in slots:
-        if candidate + duration <= slot_start:
-            return candidate
-        candidate = max(candidate, slot_finish)
-    return candidate
 
+    __slots__ = ("starts", "finishes", "_placed")
 
-def _insert_slot(slots: List[Tuple[int, int, Hashable]], slot: Tuple[int, int, Hashable]) -> None:
-    """Insert *slot* keeping the list sorted by start time."""
-    slots.append(slot)
-    slots.sort(key=lambda item: item[0])
+    def __init__(self) -> None:
+        self.starts: List[int] = []
+        self.finishes: List[int] = []
+        self._placed: List[Tuple[int, Hashable]] = []
+
+    def earliest_start(self, ready: int, duration: int) -> int:
+        """Return the earliest start >= *ready* of a gap of length *duration*."""
+        starts = self.starts
+        finishes = self.finishes
+        start = ready
+        for index in range(bisect_right(finishes, ready), len(starts)):
+            if start + duration <= starts[index]:
+                break
+            start = finishes[index]
+        return start
+
+    def insert(self, start: int, finish: int, task: Hashable) -> None:
+        """Occupy the idle interval ``[start, finish)`` with *task*."""
+        self._placed.append((start, task))
+        starts = self.starts
+        finishes = self.finishes
+        index = bisect_right(starts, start)
+        if index and finishes[index - 1] == start:
+            index -= 1
+            start = starts.pop(index)
+            finishes.pop(index)
+        if index < len(starts) and starts[index] == finish:
+            starts.pop(index)
+            finish = finishes.pop(index)
+        starts.insert(index, start)
+        finishes.insert(index, finish)
+
+    def tasks(self) -> List[Hashable]:
+        """Return the placed tasks in start-time order."""
+        return [task for _, task in sorted(self._placed, key=lambda slot: slot[0])]

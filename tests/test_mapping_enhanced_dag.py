@@ -88,6 +88,29 @@ class TestConstruction:
         with pytest.raises(InvalidMappingError):
             build_enhanced_dag(cross_mapping, bandwidth=0)
 
+    def test_communication_order_against_precedence_rejected(self):
+        # Chain a -> b -> c -> d alternating between p0 and p1: the link
+        # p0 -> p1 carries (a, b) and (c, d), and (c, d) depends on (a, b)
+        # through b -> c.  Listing (c, d) first passes the Mapping's own
+        # checks (which only cover processor orders) but closes a cycle in
+        # the enhanced DAG.
+        workflow = Workflow("alternating-chain")
+        for task in "abcd":
+            workflow.add_task(task, work=1)
+        for source, target in ("ab", "bc", "cd"):
+            workflow.add_dependency(source, target, data=1)
+        mapping = Mapping(
+            workflow,
+            uniform_cluster(2),
+            {"a": "p0", "b": "p1", "c": "p0", "d": "p1"},
+            communication_order={
+                ("p0", "p1"): [("c", "d"), ("a", "b")],
+                ("p1", "p0"): [("b", "c")],
+            },
+        )
+        with pytest.raises(InvalidMappingError, match="contains a cycle"):
+            build_enhanced_dag(mapping, rng=0)
+
     def test_platform_contains_only_used_links(self, cross_mapping):
         dag = build_enhanced_dag(cross_mapping, rng=0)
         assert dag.platform.num_links == len(cross_mapping.used_links())

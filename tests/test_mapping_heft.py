@@ -3,8 +3,11 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.mapping.heft import heft_mapping, upward_ranks
+import heft_oracle
+from repro.mapping.heft import ProcessorSlots, heft_mapping, upward_ranks
 from repro.platform_.presets import scaled_small_cluster, uniform_cluster
 from repro.utils.errors import InvalidMappingError
 from repro.workflow.generators import (
@@ -98,3 +101,73 @@ class TestHeftMapping:
         b = heft_mapping(workflow, cluster)
         assert a.mapping.assignment() == b.mapping.assignment()
         assert a.makespan == b.makespan
+
+
+def _slots(*intervals):
+    busy = ProcessorSlots()
+    for index, (start, finish) in enumerate(intervals):
+        busy.insert(start, finish, f"t{index}")
+    return busy
+
+
+class TestProcessorSlots:
+    # Busy [0, 2) and [5, 8): one idle gap [2, 5) of length 3.
+    def test_ready_in_gap_that_fits_exactly(self):
+        # candidate + duration == start of the next slot: the gap is taken.
+        assert _slots((0, 2), (5, 8)).earliest_start(3, 2) == 3
+
+    def test_ready_in_gap_one_unit_too_short(self):
+        assert _slots((0, 2), (5, 8)).earliest_start(3, 3) == 8
+
+    def test_ready_after_every_slot(self):
+        assert _slots((0, 2), (5, 8)).earliest_start(11, 4) == 11
+
+    def test_ready_at_last_finish(self):
+        assert _slots((0, 2), (5, 8)).earliest_start(8, 4) == 8
+
+    def test_ready_before_every_slot(self):
+        busy = _slots((5, 8), (9, 12))
+        assert busy.earliest_start(0, 5) == 0
+        assert busy.earliest_start(0, 6) == 12
+        assert busy.earliest_start(1, 1) == 1
+
+    def test_lists_stay_aligned_after_out_of_order_inserts(self):
+        busy = ProcessorSlots()
+        busy.insert(10, 12, "c")
+        busy.insert(0, 2, "a")
+        busy.insert(5, 7, "b")
+        assert (busy.starts, busy.finishes) == ([0, 5, 10], [2, 7, 12])
+        # Filling [2, 5) joins the first two intervals; [7, 10) then joins
+        # everything into one busy interval.
+        busy.insert(2, 5, "x")
+        assert (busy.starts, busy.finishes) == ([0, 10], [7, 12])
+        busy.insert(7, 10, "y")
+        assert (busy.starts, busy.finishes) == ([0], [12])
+        assert busy.tasks() == ["a", "x", "b", "y", "c"]
+
+    def test_inserts_touching_one_side(self):
+        busy = _slots((4, 6))
+        busy.insert(2, 4, "left")
+        busy.insert(6, 7, "right")
+        busy.insert(9, 10, "apart")
+        assert (busy.starts, busy.finishes) == ([2, 9], [7, 10])
+        assert busy.tasks() == ["left", "t0", "right", "apart"]
+
+    @given(
+        placements=st.lists(
+            st.tuples(st.integers(0, 40), st.integers(1, 6)), min_size=1, max_size=40
+        )
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_matches_linear_scan_over_slots(self, placements):
+        busy = ProcessorSlots()
+        reference = []
+        for index, (ready, duration) in enumerate(placements):
+            start = busy.earliest_start(ready, duration)
+            assert start == heft_oracle._earliest_slot(reference, ready, duration)
+            busy.insert(start, start + duration, index)
+            heft_oracle._insert_slot(reference, (start, start + duration, index))
+        assert busy.tasks() == [task for _, _, task in reference]
+        assert len(busy.starts) == len(busy.finishes)
+        assert all(s < f for s, f in zip(busy.starts, busy.finishes))
+        assert all(f < s for f, s in zip(busy.finishes, busy.starts[1:]))
