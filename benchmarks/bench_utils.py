@@ -17,8 +17,8 @@ def write_figure_output(output_dir: Path, name: str, text: str) -> None:
     """Write a figure's textual representation to ``benchmarks/output/<name>.txt``.
 
     The ``.txt`` tables are volatile local artifacts (gitignored); the
-    committed, trackable counterparts are the ``BENCH_*.json`` files written
-    by :func:`write_bench_json`.
+    committed, trackable counterparts are the ``BENCH_*.json`` baselines
+    written by :func:`write_bench_json` under ``--record-bench``.
     """
     path = Path(output_dir) / f"{name}.txt"
     path.write_text(text + "\n", encoding="utf8")
@@ -45,6 +45,7 @@ def write_bench_json(
     variants: Mapping[str, Mapping[str, float]],
     *,
     extra: Dict[str, object] | None = None,
+    record: bool = False,
 ) -> Path:
     """Write a machine-readable benchmark artifact ``BENCH_<name>.json``.
 
@@ -52,6 +53,10 @@ def write_bench_json(
     "mean_ms", "runs", ...}}, ...extra}`` — stable across PRs so the perf
     trajectory can be tracked and regression-checked in CI
     (``benchmarks/check_regression.py``).
+
+    The file goes to the gitignored ``<output_dir>/local/`` unless *record*
+    is set (``pytest --record-bench``), which overwrites the committed
+    baseline in *output_dir* itself.
     """
     payload: Dict[str, object] = {
         "schema": BENCH_SCHEMA,
@@ -62,6 +67,8 @@ def write_bench_json(
     }
     if extra:
         payload.update(extra)
-    path = Path(output_dir) / f"BENCH_{name}.json"
+    directory = Path(output_dir) if record else Path(output_dir) / "local"
+    directory.mkdir(parents=True, exist_ok=True)
+    path = directory / f"BENCH_{name}.json"
     path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf8")
     return path

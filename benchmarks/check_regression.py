@@ -1,8 +1,8 @@
 #!/usr/bin/env python
 """Compare a fresh ``BENCH_fig8.json`` against the committed baseline.
 
-Used by the ``bench-smoke`` CI job: the benchmark subset regenerates
-``benchmarks/output/BENCH_fig8.json`` and this script fails (exit code 1)
+Used by the ``bench-smoke`` CI job: the benchmark subset writes
+``benchmarks/output/local/BENCH_fig8.json`` and this script fails (exit code 1)
 when the median runtime of any local-search variant regressed by more than
 the allowed fraction over the committed baseline.
 

@@ -14,6 +14,12 @@ Scaling knobs (environment variables):
 * ``REPRO_BENCH_NODES_SMALL`` / ``REPRO_BENCH_NODES_LARGE`` — nodes per
   processor type of the two clusters (defaults 2 / 4).
 * ``REPRO_BENCH_SEED`` — master seed (default 0).
+
+Machine-readable ``BENCH_*.json`` artifacts go to the gitignored
+``benchmarks/output/local/``.  Only ``--record-bench`` rewrites the committed
+baselines in ``benchmarks/output/``, e.g.
+``PYTHONPATH=src python -m pytest benchmarks/test_fig8_running_time.py
+benchmarks/test_sim_throughput.py --record-bench``.
 """
 
 from __future__ import annotations
@@ -32,6 +38,15 @@ from repro.experiments.runner import RunRecord, run_grid
 OUTPUT_DIR = Path(__file__).parent / "output"
 
 
+def pytest_addoption(parser):
+    parser.addoption(
+        "--record-bench",
+        action="store_true",
+        default=False,
+        help="overwrite the committed benchmarks/output/BENCH_*.json baselines",
+    )
+
+
 def _bench_sizes() -> List[int]:
     raw = os.environ.get("REPRO_BENCH_SIZES", "30,60")
     return [int(part) for part in raw.split(",") if part.strip()]
@@ -45,6 +60,12 @@ def _bench_seed() -> int:
 def output_dir() -> Path:
     OUTPUT_DIR.mkdir(parents=True, exist_ok=True)
     return OUTPUT_DIR
+
+
+@pytest.fixture(scope="session")
+def record_bench(request) -> bool:
+    """Whether ``BENCH_*.json`` artifacts overwrite the committed baselines."""
+    return request.config.getoption("--record-bench")
 
 
 @pytest.fixture(scope="session")

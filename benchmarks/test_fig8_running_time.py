@@ -16,7 +16,7 @@ from repro.experiments.reporting import format_table
 from bench_utils import write_bench_json, write_figure_output
 
 
-def test_fig8_running_times(grid_records, benchmark, output_dir):
+def test_fig8_running_times(grid_records, benchmark, output_dir, record_bench):
     stats = figure8_running_times(grid_records)
     rows = [
         [name, values["min"] * 1e3, values["median"] * 1e3, values["mean"] * 1e3,
@@ -39,6 +39,7 @@ def test_fig8_running_times(grid_records, benchmark, output_dir):
             }
             for name, values in stats.items()
         },
+        record=record_bench,
     )
 
     # Time a representative pressWR-LS scheduling call end to end.

@@ -20,7 +20,7 @@ from bench_utils import write_bench_json, write_figure_output
 ARRIVALS = 1000
 
 
-def test_sim_throughput(benchmark, output_dir):
+def test_sim_throughput(benchmark, output_dir, record_bench):
     config = SimulationConfig(
         horizon=ARRIVALS * 20,
         arrivals="burst",
@@ -79,6 +79,7 @@ def test_sim_throughput(benchmark, output_dir):
             "arrivals_per_s": round(num_jobs / elapsed, 1),
             "events_per_s": round(num_events / elapsed, 1),
         },
+        record=record_bench,
     )
 
     # Shape checks: the full stream completed and the engine sustains a

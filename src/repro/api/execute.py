@@ -2,11 +2,18 @@
 
 :func:`execute_job` is the single place where a :class:`~repro.api.jobs.Job`
 turns into schedules: it materialises the instance, rebuilds the scheduler
-from the job's configuration, dispatches every variant through an
-:class:`~repro.api.registry.AlgorithmRegistry`, and derives the flat
+from the job's configuration, runs the built-in variants through one
+:meth:`~repro.core.scheduler.CaWoSched.runner` and third-party algorithms
+through an :class:`~repro.api.registry.AlgorithmRegistry`, and derives the flat
 :class:`~repro.experiments.runner.RunRecord` rows exactly as the classic
 :func:`repro.experiments.runner.run_instance` did — so results are
 byte-identical between the facade and the legacy entry points.
+
+Within one job each greedy configuration ``(base, weighted, refined)`` is
+computed at most once: ``X`` returns that schedule and ``X-LS`` improves it.
+``runtime_seconds`` keeps its per-variant meaning — greedy + validation for
+``X``, the same greedy time + local search + validation for ``X-LS`` — so the
+running-time figures keep their meaning.
 
 :func:`execute_job_payload` is the module-level worker function of the
 process backend: it receives a job as plain wire data and returns record
@@ -55,16 +62,22 @@ def execute_job(
 ) -> Tuple[Tuple[ScheduleResult, ...], Tuple[RunRecord, ...]]:
     """Run every variant of *job* and return (full results, flat records).
 
-    Variants run in job order through the registry; built-in variants go
-    through :class:`~repro.core.scheduler.CaWoSched` unchanged.
+    Variants run in job order.  Built-in variants share one
+    :meth:`CaWoSched.runner <repro.core.scheduler.CaWoSched.runner>` (one
+    greedy seed per configuration); third-party algorithms go through
+    :meth:`AlgorithmRegistry.run` unchanged.
     """
     registry = registry or DEFAULT_REGISTRY
     instance = job.instance()
     scheduler = CaWoSched.from_config(job.scheduler)
+    run_builtin = scheduler.runner(instance)
     results: List[ScheduleResult] = []
     records: List[RunRecord] = []
     for name in job.variants:
-        result = registry.run(instance, name, scheduler=scheduler)
+        if registry.get(name).builtin:
+            result = run_builtin(name)
+        else:
+            result = registry.run(instance, name, scheduler=scheduler)
         results.append(result)
         records.append(record_for(instance, result))
     return tuple(results), tuple(records)

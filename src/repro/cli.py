@@ -278,9 +278,18 @@ def _print_cost_table(instance, records: Sequence[RunRecord]) -> None:
     print(format_table(rows, ["variant", "carbon cost", "makespan", "runtime ms"]))
 
 
-def _run_schedule(args: argparse.Namespace) -> int:
+def _scheduler_from_args(
+    args: argparse.Namespace, parser: argparse.ArgumentParser
+) -> CaWoSched:
+    try:
+        return CaWoSched(block_size=args.block_size, window=args.window)
+    except ValueError as exc:
+        parser.error(str(exc))
+
+
+def _run_schedule(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
+    scheduler = _scheduler_from_args(args, parser)
     instance = make_instance(_spec_from_args(args))
-    scheduler = CaWoSched(block_size=args.block_size, window=args.window)
     job = Job.from_instance(instance, variants=args.variants, scheduler=scheduler)
     result = Client().submit(job)
     _print_cost_table(instance, result.records)
@@ -383,7 +392,7 @@ def _run_import(args: argparse.Namespace, parser: argparse.ArgumentParser) -> in
         instance = load_instance(path)
     except CaWoSchedError as exc:
         parser.error(f"instance file {path}: {exc}")
-    scheduler = CaWoSched(block_size=args.block_size, window=args.window)
+    scheduler = _scheduler_from_args(args, parser)
     job = Job.from_instance(instance, variants=args.variants, scheduler=scheduler)
     result = Client().submit(job)
     _print_cost_table(instance, result.records)
@@ -476,7 +485,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         if args.command == "schedule":
-            return _run_schedule(args)
+            return _run_schedule(args, parser)
         if args.command == "grid":
             return _run_grid(args)
         if args.command == "batch":

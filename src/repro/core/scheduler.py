@@ -9,19 +9,20 @@ time spent, which is what the experiment harness records.
 
 from __future__ import annotations
 
-import time
-from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional
+from dataclasses import dataclass
+from time import perf_counter
+from typing import Callable, Dict, Iterable, Optional, Tuple
 
 from repro.core.greedy import greedy_schedule
 from repro.core.local_search import DEFAULT_WINDOW, local_search
 from repro.core.subdivision import DEFAULT_BLOCK_SIZE
-from repro.core.variants import ALL_VARIANTS, VariantSpec, get_variant, variant_names
+from repro.core.variants import get_variant, variant_names
 from repro.schedule.asap import asap_schedule
 from repro.schedule.cost import carbon_cost
 from repro.schedule.instance import ProblemInstance
 from repro.schedule.schedule import Schedule
 from repro.schedule.validation import check_schedule
+from repro.utils.validation import check_non_negative_int, check_positive_int
 
 __all__ = ["ScheduleResult", "CaWoSched", "run_variant", "run_all_variants"]
 
@@ -79,9 +80,11 @@ class CaWoSched:
         window: int = DEFAULT_WINDOW,
         validate: bool = True,
     ) -> None:
-        self.block_size = int(block_size)
-        self.window = int(window)
-        self.validate = bool(validate)
+        if not isinstance(validate, bool):
+            raise TypeError(f"validate must be a bool, got {type(validate).__name__}")
+        self.block_size = check_positive_int(block_size, "block_size")
+        self.window = check_non_negative_int(window, "window")
+        self.validate = validate
 
     # ------------------------------------------------------------------ #
     def config_dict(self) -> Dict[str, object]:
@@ -99,48 +102,28 @@ class CaWoSched:
 
     @classmethod
     def from_config(cls, config: Optional[Dict[str, object]] = None) -> "CaWoSched":
-        """Rebuild a scheduler from :meth:`config_dict` output."""
+        """Rebuild a scheduler from :meth:`config_dict` output.
+
+        Raises
+        ------
+        TypeError, ValueError
+            If a value has the wrong type or is out of range.
+        """
         config = dict(config or {})
         return cls(
-            block_size=int(config.get("block_size", DEFAULT_BLOCK_SIZE)),
-            window=int(config.get("window", DEFAULT_WINDOW)),
-            validate=bool(config.get("validate", True)),
+            block_size=config.get("block_size", DEFAULT_BLOCK_SIZE),
+            window=config.get("window", DEFAULT_WINDOW),
+            validate=config.get("validate", True),
         )
 
     # ------------------------------------------------------------------ #
     def schedule(self, instance: ProblemInstance, variant: str) -> Schedule:
         """Return the schedule produced by *variant* on *instance*."""
-        spec = get_variant(variant)
-        if spec.is_baseline:
-            produced = asap_schedule(instance)
-        else:
-            produced = greedy_schedule(
-                instance,
-                base=spec.base,
-                weighted=spec.weighted,
-                refined=spec.refined,
-                block_size=self.block_size,
-            )
-            if spec.local_search:
-                produced = local_search(
-                    produced, window=self.window, algorithm_name=spec.name
-                )
-        if self.validate:
-            check_schedule(produced)
-        return produced
+        return self._producer(instance)(variant)[0]
 
     def run(self, instance: ProblemInstance, variant: str) -> ScheduleResult:
         """Run *variant* on *instance* and return a timed, costed result."""
-        begin = time.perf_counter()
-        produced = self.schedule(instance, variant)
-        elapsed = time.perf_counter() - begin
-        return ScheduleResult(
-            variant=variant,
-            schedule=produced,
-            carbon_cost=carbon_cost(produced),
-            runtime_seconds=elapsed,
-            makespan=produced.makespan,
-        )
+        return self.runner(instance)(variant)
 
     def run_many(
         self,
@@ -148,6 +131,11 @@ class CaWoSched:
         variants: Optional[Iterable[str]] = None,
     ) -> Dict[str, ScheduleResult]:
         """Run several variants (default: all 17) on *instance*.
+
+        The variants share one :meth:`runner`, so each greedy configuration
+        is computed once per call and ``X-LS`` starts from the schedule
+        ``X`` returns.  ``runtime_seconds`` keeps its per-variant meaning:
+        greedy (+ local search) + validation.
 
         .. deprecated::
             As a *submission* entry point, prefer
@@ -157,7 +145,69 @@ class CaWoSched:
             use remains supported for algorithm-level work.
         """
         names = list(variants) if variants is not None else variant_names()
-        return {name: self.run(instance, name) for name in names}
+        run = self.runner(instance)
+        return {name: run(name) for name in names}
+
+    def runner(self, instance: ProblemInstance) -> Callable[[str], ScheduleResult]:
+        """Return a function running built-in variants on *instance*.
+
+        Every call of the returned function yields a validated, costed
+        :class:`ScheduleResult` identical to a lone :meth:`run`, except that
+        each greedy configuration ``(base, weighted, refined)`` is computed
+        at most once per runner and shared: ``X`` returns that schedule and
+        ``X-LS`` improves it.  The greedy wall time is charged to every
+        variant using the seed, so ``runtime_seconds`` is greedy + validation
+        for ``X`` and greedy + local search + validation for ``X-LS``.
+        """
+        produce = self._producer(instance)
+
+        def run(variant: str) -> ScheduleResult:
+            produced, elapsed = produce(variant)
+            return ScheduleResult(
+                variant=variant,
+                schedule=produced,
+                carbon_cost=carbon_cost(produced),
+                runtime_seconds=elapsed,
+                makespan=produced.makespan,
+            )
+
+        return run
+
+    def _producer(
+        self, instance: ProblemInstance
+    ) -> Callable[[str], Tuple[Schedule, float]]:
+        """Return ``variant -> (schedule, seconds)`` with one greedy seed per configuration."""
+        seeds: Dict[Tuple[Optional[str], bool, bool], Tuple[Schedule, float]] = {}
+
+        def produce(variant: str) -> Tuple[Schedule, float]:
+            spec = get_variant(variant)
+            seed_seconds = 0.0
+            if spec.is_baseline:
+                begin = perf_counter()
+                produced = asap_schedule(instance)
+            else:
+                key = (spec.base, spec.weighted, spec.refined)
+                if key not in seeds:
+                    begin = perf_counter()
+                    seed = greedy_schedule(
+                        instance,
+                        base=spec.base,
+                        weighted=spec.weighted,
+                        refined=spec.refined,
+                        block_size=self.block_size,
+                    )
+                    seeds[key] = (seed, perf_counter() - begin)
+                produced, seed_seconds = seeds[key]
+                begin = perf_counter()
+                if spec.local_search:
+                    produced = local_search(
+                        produced, window=self.window, algorithm_name=spec.name
+                    )
+            if self.validate:
+                check_schedule(produced)
+            return produced, seed_seconds + (perf_counter() - begin)
+
+        return produce
 
 
 def run_variant(

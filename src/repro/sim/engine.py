@@ -117,10 +117,11 @@ class SimulationConfig:
         # than the built-in variant table) lets simulations plan with
         # registered third-party algorithms too.
         DEFAULT_REGISTRY.get(self.variant)
-        # Arrival, policy, signal and workload parameters are validated by
-        # building each component once; bare range errors from the validators
-        # are normalised to SimulationError so every bad configuration fails
-        # the same way (the CLI turns them into parser errors).
+        # Arrival, policy, signal, scheduler and workload parameters are
+        # validated by building each component once; bare range errors from
+        # the validators are normalised to SimulationError so every bad
+        # configuration fails the same way (the CLI turns them into parser
+        # errors).
         try:
             make_arrivals(
                 self.arrivals,
@@ -142,6 +143,7 @@ class SimulationConfig:
             )
             if not 0.0 <= float(self.green_cap) <= 1.0:
                 raise ValueError(f"green_cap must lie in [0, 1], got {self.green_cap}")
+            self.scheduler()
         except (TypeError, ValueError) as exc:
             raise SimulationError(str(exc)) from exc
         self.workload()

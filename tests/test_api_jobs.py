@@ -56,6 +56,17 @@ class TestJobConstruction:
                 }
             )
 
+    @pytest.mark.parametrize(
+        "config",
+        [{"block_size": 0}, {"window": -1}, {"validate": "false"}],
+        ids=["block_size-0", "window-negative", "validate-string"],
+    )
+    def test_from_dict_rejects_out_of_range_scheduler(self, config):
+        with pytest.raises(InvalidJob, match="malformed scheduler config"):
+            Job.from_dict(
+                {"spec": {"family": "chain", "tasks": 6}, "scheduler": config}
+            )
+
     def test_validate_rejects_empty_variants(self, grid_instance):
         job = Job(payload=instance_to_dict(grid_instance), variants=())
         with pytest.raises(InvalidJob, match="at least one"):

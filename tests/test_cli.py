@@ -3,6 +3,10 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -212,6 +216,42 @@ class TestBatchCommand:
         with pytest.raises(SystemExit):
             main(["batch", str(path)])
         assert "malformed job spec" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "config",
+        [{"block_size": 0}, {"window": -1}, {"validate": "false"}],
+        ids=["block_size-0", "window-negative", "validate-string"],
+    )
+    def test_batch_rejects_bad_scheduler_config(self, capsys, tmp_path, config):
+        path = self._requests_file(tmp_path, [
+            {"spec": {"family": "chain", "tasks": 6, "cluster": "single"},
+             "variants": ["ASAP"], "scheduler": config},
+        ])
+        with pytest.raises(SystemExit) as exit_info:
+            main(["batch", str(path)])
+        assert exit_info.value.code == 2
+        assert "malformed scheduler config" in capsys.readouterr().err
+
+    def test_batch_bad_scheduler_config_exit_code_from_shell(self, tmp_path):
+        path = self._requests_file(tmp_path, [
+            {"spec": {"family": "chain", "tasks": 6, "cluster": "single"},
+             "variants": ["ASAP"], "scheduler": {"block_size": 0}},
+        ])
+        src = Path(__file__).resolve().parents[1] / "src"
+        env = dict(os.environ, PYTHONPATH=str(src))
+        completed = subprocess.run(
+            [sys.executable, "-m", "repro", "batch", str(path)],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert completed.returncode == 2
+        assert "block_size must be positive" in completed.stderr
+
+    def test_schedule_rejects_bad_block_size(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["schedule", "--family", "chain", "--tasks", "6",
+                  "--cluster", "single", "--block-size", "0"])
+        assert exit_info.value.code == 2
+        assert "block_size must be positive" in capsys.readouterr().err
 
     def test_batch_unknown_variant_exit_code(self, capsys, tmp_path):
         path = self._requests_file(tmp_path, [

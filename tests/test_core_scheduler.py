@@ -55,6 +55,23 @@ class TestCaWoSched:
         assert scheduler.window == 5
         assert scheduler.validate is False
 
+    @pytest.mark.parametrize(
+        "kwargs, error",
+        [
+            ({"block_size": 0}, ValueError),
+            ({"block_size": 2.5}, TypeError),
+            ({"window": -1}, ValueError),
+            ({"validate": "false"}, TypeError),
+            ({"validate": 1}, TypeError),
+        ],
+    )
+    def test_bad_parameters_rejected(self, kwargs, error):
+        with pytest.raises(error):
+            CaWoSched(**kwargs)
+
+    def test_window_zero_allowed(self):
+        assert CaWoSched(window=0).window == 0
+
     def test_validation_can_be_disabled(self, tiny_multi_instance):
         # With validation disabled the run must still succeed and produce the
         # same schedule.

@@ -236,6 +236,8 @@ class TestConfigValidation:
             dict(trace_noise=2.0),
             dict(green_cap=1.5),
             dict(cache_size=0),
+            dict(block_size=0),
+            dict(window=-1),
         ):
             with pytest.raises(SimulationError):
                 SimulationConfig(**bad)
