@@ -3,8 +3,9 @@
 Profiles repeated full scheduling calls (greedy phase + local search) with
 ``cProfile`` and prints the top functions by cumulative time — the breakdown
 that motivated the batch-gain / incremental-EST-LST kernel work.  Run with
-``--scalar`` to profile the scalar reference kernels instead and compare, or
-with ``--json`` to dump the rows machine-readably.
+``--scalar`` to profile the full EST/LST recompute instead of the incremental
+one (the only kernel the switch still selects), or with ``--json`` to dump
+the rows machine-readably.
 
 Examples
 --------
@@ -12,7 +13,7 @@ Default breakdown (vectorized kernels, pressWR-LS on a 60-task workflow)::
 
     PYTHONPATH=src python examples/profile_kernels.py
 
-Scalar reference path, JSON output::
+Full EST/LST recompute, JSON output::
 
     PYTHONPATH=src python examples/profile_kernels.py --scalar --json -
 """
@@ -42,7 +43,7 @@ def parse_args(argv=None) -> argparse.Namespace:
     parser.add_argument(
         "--scalar",
         action="store_true",
-        help=f"force the scalar reference kernels ({SCALAR_KERNELS_ENV}=1)",
+        help=f"force the full EST/LST recompute ({SCALAR_KERNELS_ENV}=1)",
     )
     parser.add_argument(
         "--json",

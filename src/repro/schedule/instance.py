@@ -11,13 +11,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Dict, Hashable
+from typing import Dict, Hashable, List, Tuple
+
+import numpy as np
 
 from repro.carbon.intervals import PowerProfile
 from repro.mapping.enhanced_dag import EnhancedDAG
 from repro.utils.errors import InfeasibleScheduleError, InvalidProfileError
 
-__all__ = ["ProblemInstance"]
+__all__ = ["ProblemInstance", "SearchArrays"]
 
 
 @dataclass(frozen=True)
@@ -99,6 +101,11 @@ class ProblemInstance:
         total = {spec.name: spec.total_power for spec in dag.platform.processors()}
         return {node: total[dag.processor(node)] for node in dag.nodes()}
 
+    @cached_property
+    def search_arrays(self) -> "SearchArrays":
+        """Node-indexed arrays of the local search (computed once, read-only)."""
+        return _build_search_arrays(self)
+
     def describe(self) -> Dict[str, object]:
         """Return a dictionary summary (used by experiment reports)."""
         summary: Dict[str, object] = {
@@ -117,3 +124,68 @@ class ProblemInstance:
             f"ProblemInstance(name={self.name!r}, tasks={self.dag.num_nodes}, "
             f"deadline={self.deadline})"
         )
+
+
+@dataclass(frozen=True, eq=False)
+class SearchArrays:
+    """Static arrays the local search reads, indexed by node position.
+
+    Positions follow the local search's visit order: processors in
+    non-increasing order of their working power (ties broken by name), and
+    each processor's tasks in their fixed mapping order.  Neighbours are
+    stored in CSR form: the predecessors of position ``i`` are
+    ``pred[pred_ptr[i] : pred_ptr[i + 1]]``, likewise for successors.  Every
+    array is read-only, so the runs on one instance can share them.
+    """
+
+    #: Node names in visit order (position -> node).
+    nodes: Tuple[Hashable, ...]
+    duration: np.ndarray
+    work_power: np.ndarray
+    pred_ptr: np.ndarray
+    pred: np.ndarray
+    succ_ptr: np.ndarray
+    succ: np.ndarray
+    #: Idle power minus green budget per time unit: the excess of an empty
+    #: platform.
+    base_excess: np.ndarray
+
+
+def _build_search_arrays(instance: ProblemInstance) -> SearchArrays:
+    dag = instance.dag
+    platform = dag.platform
+    processors = sorted(
+        dag.processors_with_tasks(),
+        key=lambda proc: (-platform.processor(proc).p_work, str(proc)),
+    )
+    tasks_on = dag.ordered_task_map()
+    nodes = tuple(node for proc in processors for node in tasks_on[proc])
+    index = {node: position for position, node in enumerate(nodes)}
+    durations = dag.duration_map()
+    work_power = instance.work_power_map
+
+    def frozen(values) -> np.ndarray:
+        array = np.asarray(values, dtype=np.int64)
+        array.setflags(write=False)
+        return array
+
+    def csr(adjacency: Dict[Hashable, List[Hashable]]) -> Tuple[np.ndarray, np.ndarray]:
+        ptr = np.zeros(len(nodes) + 1, dtype=np.int64)
+        np.cumsum([len(adjacency[node]) for node in nodes], out=ptr[1:])
+        flat = [index[other] for node in nodes for other in adjacency[node]]
+        return frozen(ptr), frozen(flat)
+
+    pred_ptr, pred = csr(dag.predecessor_map())
+    succ_ptr, succ = csr(dag.successor_map())
+    return SearchArrays(
+        nodes=nodes,
+        duration=frozen([durations[node] for node in nodes]),
+        work_power=frozen([work_power[node] for node in nodes]),
+        pred_ptr=pred_ptr,
+        pred=pred,
+        succ_ptr=succ_ptr,
+        succ=succ,
+        base_excess=frozen(
+            instance.total_idle_power() - instance.profile.budgets_per_time_unit()
+        ),
+    )

@@ -108,32 +108,17 @@ class PowerTimeline:
                 f"task {node!r} at start {start} (duration {duration}) does not fit "
                 f"into the horizon [0, {self.horizon})"
             )
-        self._place_unchecked(node, start)
-
-    def remove(self, node: Hashable) -> int:
-        """Remove *node* from the timeline and return its previous start time."""
-        start = self.start_of(node)
-        return self._remove_unchecked(node, start)
-
-    def _place_unchecked(self, node: Hashable, start: int) -> None:
-        """Place *node* at *start* without horizon/duplicate checks.
-
-        Internal fast path for callers that already validated the placement
-        (the local search clamps every candidate to the feasible window before
-        evaluating it).
-        """
-        duration = self._duration[node]
         work_power = self._work_power[node]
         if work_power:
             self._power[start : start + duration] += work_power
         self._starts[node] = start
 
-    def _remove_unchecked(self, node: Hashable, start: int) -> int:
-        """Remove *node* (placed at *start*) without looking it up again."""
-        duration = self._duration[node]
+    def remove(self, node: Hashable) -> int:
+        """Remove *node* from the timeline and return its previous start time."""
+        start = self.start_of(node)
         work_power = self._work_power[node]
         if work_power:
-            self._power[start : start + duration] -= work_power
+            self._power[start : start + self._duration[node]] -= work_power
         del self._starts[node]
         return start
 

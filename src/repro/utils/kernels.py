@@ -1,13 +1,11 @@
-"""Kernel selection: vectorized fast paths vs the scalar reference path.
+"""Kernel selection: incremental EST/LST vs the full-recompute reference.
 
-The scheduling hot paths (batch gain profiles in the local search, the
-incremental EST/LST propagation of the greedy phase) have two byte-identical
-implementations: a vectorized/incremental kernel used by default, and the
-original scalar code kept as the executable specification.  Setting the
+The greedy phase's EST/LST bookkeeping has two byte-identical
+implementations: the incremental propagation used by default, and the full
+two-sweep recompute kept as the executable specification.  Setting the
 environment variable :data:`SCALAR_KERNELS_ENV` to a truthy value forces the
-scalar path everywhere; the escape hatch is guaranteed for one release so
-downstream users can bisect a suspected kernel bug without pinning an old
-version.
+full recompute.  It affects nothing else: the local search has a single
+kernel, checked against a test-only oracle.
 """
 
 from __future__ import annotations

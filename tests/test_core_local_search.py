@@ -2,11 +2,23 @@
 
 from __future__ import annotations
 
-import pytest
+import gc
+import weakref
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import repro.core.scheduler as scheduler_module
+import repro.schedule.instance as instance_module
+from random_instances import LS_SPEC_STRATEGY, build_random_instance, ls_seed
+from repro.api import Job
+from repro.api.execute import execute_job
 from repro.carbon.intervals import PowerProfile
 from repro.core.greedy import greedy_schedule
 from repro.core.local_search import local_search
+from repro.core.variants import LS_VARIANTS
+from repro.experiments.instances import InstanceSpec, make_instance
 from repro.mapping.enhanced_dag import build_enhanced_dag
 from repro.mapping.mapping import Mapping
 from repro.platform_.presets import single_processor_cluster
@@ -98,3 +110,65 @@ class TestLocalSearchBehaviour:
         dag = tiny_multi_instance.dag
         for source, target in dag.edges():
             assert improved.start(target) >= improved.start(source) + dag.duration(source)
+
+
+class TestLocalSearchProperties:
+    @given(
+        spec=LS_SPEC_STRATEGY,
+        kind=st.sampled_from(["ASAP", "slack", "pressure"]),
+        best=st.booleans(),
+        window=st.sampled_from([1, 3, 10]),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_idempotent_pure_and_never_worse(self, spec, kind, best, window):
+        seed = ls_seed(build_random_instance(*spec), kind, refined=True)
+        before = list(seed.start_times().items())
+        improved = local_search(seed, window=window, best_improvement=best)
+        # The input schedule is left as it was.
+        assert list(seed.start_times().items()) == before
+        assert carbon_cost(improved) <= carbon_cost(seed)
+        # A local optimum is a fixed point.
+        again = local_search(improved, window=window, best_improvement=best)
+        assert again.start_times() == improved.start_times()
+
+
+class TestSearchArrays:
+    def test_instance_is_collectable_after_local_search(self):
+        instance = build_random_instance("eager", 20, "S2", 1.5, seed=5)
+        improved = local_search(greedy_schedule(instance, base="slack"))
+        assert improved.instance is instance
+        reference = weakref.ref(instance)
+        del instance, improved
+        gc.collect()
+        assert reference() is None
+
+    def test_arrays_are_read_only(self):
+        instance = build_random_instance("eager", 20, "S2", 1.5, seed=5)
+        arrays = instance.search_arrays
+        assert arrays is instance.search_arrays
+        assert sorted(arrays.nodes, key=str) == sorted(instance.dag.nodes(), key=str)
+        with pytest.raises(ValueError):
+            arrays.base_excess[0] = 0
+
+    def test_one_build_shared_by_every_local_search_run_of_a_job(self, monkeypatch):
+        builds = []
+        build = instance_module._build_search_arrays
+        seen = []
+        search = scheduler_module.local_search
+
+        def build_spy(instance):
+            builds.append(build(instance))
+            return builds[-1]
+
+        def search_spy(schedule, **kwargs):
+            seen.append(schedule.instance.search_arrays)
+            return search(schedule, **kwargs)
+
+        monkeypatch.setattr(instance_module, "_build_search_arrays", build_spy)
+        monkeypatch.setattr(scheduler_module, "local_search", search_spy)
+        instance = make_instance(InstanceSpec("bacass", 15, "small", "S1", 1.5, seed=1))
+        results, _ = execute_job(Job.from_instance(instance))
+        assert len(results) == 17
+        assert len(seen) == len(LS_VARIANTS) == 8
+        assert len(builds) == 1
+        assert all(arrays is builds[0] for arrays in seen)

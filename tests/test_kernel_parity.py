@@ -1,12 +1,10 @@
 """Parity suite for the vectorized scheduling kernels.
 
-The hot paths have two implementations: the vectorized/incremental kernels
-used by default and the scalar reference path forced via
-``REPRO_SCALAR_KERNELS``.  These tests pin the contract that both are
-*byte-identical*:
+Each hot path is pinned *byte-identical* to a straightforward reference:
 
 * ``PowerTimeline.gain_profile`` equals a loop of scalar ``move_gain`` calls,
-* ``local_search`` returns identical start times under both kernels,
+* ``local_search`` returns the same start times as the per-candidate hill
+  climber kept in :mod:`local_search_oracle`,
 * ``EstLstTracker`` produces identical EST/LST maps incrementally and with
   the full two-sweep recompute,
 * the lag-difference form of ``block_alignment_points`` equals the original
@@ -15,54 +13,23 @@ used by default and the scalar reference path forced via
 
 from __future__ import annotations
 
-import os
-from contextlib import contextmanager
-
 import numpy as np
-from hypothesis import given, settings
+import pytest
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repro.carbon.scenarios import generate_power_profile
+from local_search_oracle import oracle_local_search
+from random_instances import LS_SPEC_STRATEGY, build_random_instance, ls_seed
 from repro.core.estlst import EstLstTracker
 from repro.core.greedy import greedy_schedule
 from repro.core.local_search import local_search
 from repro.core.subdivision import block_alignment_points
-from repro.mapping.enhanced_dag import build_enhanced_dag
-from repro.mapping.heft import heft_mapping
-from repro.platform_.presets import cluster_from_table1
-from repro.schedule.asap import asap_makespan
+from repro.platform_.presets import scaled_large_cluster
+from repro.schedule.asap import asap_schedule
 from repro.schedule.instance import ProblemInstance
 from repro.schedule.timeline import PowerTimeline
 from repro.utils.kernels import SCALAR_KERNELS_ENV
 from repro.utils.rng import ensure_rng
-from repro.workflow.generators import generate_workflow
-
-
-def build_random_instance(family: str, num_tasks: int, scenario: str,
-                          deadline_factor: float, seed: int) -> ProblemInstance:
-    workflow = generate_workflow(family, num_tasks, rng=seed)
-    cluster = cluster_from_table1(1, name="parity")
-    mapping = heft_mapping(workflow, cluster).mapping
-    dag = build_enhanced_dag(mapping, rng=seed)
-    deadline = max(1, int(deadline_factor * asap_makespan(dag)))
-    profile = generate_power_profile(
-        scenario, deadline,
-        idle_power=dag.platform.total_idle_power(),
-        work_power=dag.platform.total_work_power(),
-        num_intervals=8, rng=seed,
-    )
-    return ProblemInstance(dag, profile)
-
-
-@contextmanager
-def scalar_kernels():
-    """Force the scalar reference kernels for the duration of the block."""
-    os.environ[SCALAR_KERNELS_ENV] = "1"
-    try:
-        yield
-    finally:
-        os.environ.pop(SCALAR_KERNELS_ENV, None)
-
 
 INSTANCE_STRATEGY = st.builds(
     build_random_instance,
@@ -110,24 +77,50 @@ class TestGainProfileParity:
 
 class TestLocalSearchParity:
     @given(
-        instance=INSTANCE_STRATEGY,
-        base=st.sampled_from(["slack", "pressure"]),
+        spec=LS_SPEC_STRATEGY,
+        kind=st.sampled_from(["ASAP", "slack", "pressure"]),
+        refined=st.booleans(),
         best=st.booleans(),
-        window=st.integers(1, 12),
+        window=st.sampled_from([0, 1, 3, 10, 25]),
+        max_rounds=st.sampled_from([None, 1, 2]),
     )
-    @settings(max_examples=25, deadline=None)
+    # An entry task between other tasks in one chunk (its window must not
+    # borrow a neighbour's predecessor bound).
+    @example(
+        spec=("atacseq", 6, "S2", 1.25, 35, (1, 2)), kind="ASAP", refined=False,
+        best=False, window=1, max_rounds=None,
+    )
+    @settings(max_examples=200, deadline=None)
     def test_local_search_byte_identical_between_kernels(
-        self, instance, base, best, window
+        self, spec, kind, refined, best, window, max_rounds
     ):
-        greedy = greedy_schedule(instance, base=base, refined=True)
-        fast = local_search(greedy, window=window, best_improvement=best)
-        with scalar_kernels():
-            slow = local_search(greedy, window=window, best_improvement=best)
-        assert fast.start_times() == slow.start_times()
-        assert fast.algorithm == slow.algorithm
+        seed = ls_seed(build_random_instance(*spec), kind, refined)
+        options = dict(window=window, best_improvement=best, max_rounds=max_rounds)
+        kernel = local_search(seed, **options)
+        oracle = oracle_local_search(seed, **options)
+        assert list(kernel.start_times().items()) == list(oracle.start_times().items())
+        assert kernel.algorithm == oracle.algorithm
 
-    def test_seed_grid_byte_identity(self):
+    @pytest.mark.parametrize("best", [False, True])
+    def test_multi_chunk_instance_matches_oracle(self, best):
+        # Several 64-task chunks per round, and moves that reset verdicts
+        # evaluated ahead of the walk.
+        instance = build_random_instance(
+            "atacseq", 200, "S2", 1.5, seed=3, cluster=scaled_large_cluster(4)
+        )
+        assert instance.num_tasks >= 200
+        for seed in (
+            asap_schedule(instance),
+            greedy_schedule(instance, base="pressure", weighted=True, refined=True),
+        ):
+            kernel = local_search(seed, best_improvement=best)
+            oracle = oracle_local_search(seed, best_improvement=best)
+            assert kernel.start_times() == oracle.start_times()
+            assert kernel.start_times() != seed.start_times()
+
+    def test_seed_grid_byte_identity(self, monkeypatch):
         from repro.core.scheduler import CaWoSched
+        from repro.core.variants import get_variant
         from repro.experiments.instances import default_grid, make_instance
 
         scheduler = CaWoSched()
@@ -137,8 +130,21 @@ class TestLocalSearchParity:
             instance = make_instance(spec, master_seed=0)
             for variant in variants:
                 fast = scheduler.schedule(instance, variant)
-                with scalar_kernels():
-                    slow = scheduler.schedule(instance, variant)
+                config = get_variant(variant)
+                # Reference: greedy under the full EST/LST recompute, then
+                # the oracle hill climber.
+                with monkeypatch.context() as patch:
+                    patch.setenv(SCALAR_KERNELS_ENV, "1")
+                    seed = greedy_schedule(
+                        instance,
+                        base=config.base,
+                        weighted=config.weighted,
+                        refined=config.refined,
+                        block_size=scheduler.block_size,
+                    )
+                slow = oracle_local_search(
+                    seed, window=scheduler.window, algorithm_name=variant
+                )
                 assert fast.start_times() == slow.start_times(), (spec, variant)
 
 
