@@ -85,8 +85,3 @@ def grid_records(bench_specs) -> List[RunRecord]:
         master_seed=_bench_seed(),
     )
 
-
-def write_figure_output(output_dir: Path, name: str, text: str) -> None:
-    """Write a figure's textual representation to the output directory."""
-    path = output_dir / f"{name}.txt"
-    path.write_text(text + "\n", encoding="utf8")

@@ -9,11 +9,12 @@ task at ``start`` can only *raise* ESTs downstream and *lower* LSTs upstream,
 so the tracker propagates the change outward from the fixed task along the
 topological order and stops as soon as values stop changing.  Most fixes
 touch a small neighbourhood, which turns the greedy phase's quadratic
-bookkeeping into near-linear work; the full two-sweep recompute is kept as
-the scalar reference (forced via ``REPRO_SCALAR_KERNELS``) and both paths
-produce identical EST/LST maps.  Internally all bookkeeping is positional
-(lists indexed by topological rank, adjacency as index/duration pairs), so
-the propagation loop touches no hashing at all.
+bookkeeping into near-linear work; the tests pin it against the paper's
+full two-sweep recompute after every fix.  Internally all bookkeeping is
+positional (lists indexed by topological rank, adjacency as index/duration
+pairs), so the propagation loop touches no hashing at all.  The static part
+(order, positions, adjacency) is built once and shared by :meth:`copy`, so
+several greedy runs on one DAG pay the initial two sweeps once.
 
 Fixing a task at a start time within its current ``[EST, LST]`` window always
 keeps the remaining problem feasible: the constraints form a system of
@@ -24,12 +25,12 @@ exactly the ``[EST, LST]`` intervals.
 
 from __future__ import annotations
 
+import copy
 import heapq
 from typing import Dict, Hashable, List, Optional, Tuple
 
 from repro.mapping.enhanced_dag import EnhancedDAG
 from repro.utils.errors import InfeasibleScheduleError
-from repro.utils.kernels import scalar_kernels_enabled
 
 __all__ = ["EstLstTracker"]
 
@@ -43,11 +44,6 @@ class EstLstTracker:
         The communication-enhanced DAG.
     deadline:
         The deadline ``T``.
-    incremental:
-        Whether :meth:`fix` propagates changes outward from the fixed task
-        instead of recomputing both sweeps from scratch.  ``None`` (default)
-        uses the incremental kernel unless ``REPRO_SCALAR_KERNELS`` forces
-        the scalar reference; both paths yield identical values.
 
     Raises
     ------
@@ -55,10 +51,7 @@ class EstLstTracker:
         If the deadline cannot be met even without fixing any task.
     """
 
-    def __init__(
-        self, dag: EnhancedDAG, deadline: int, *, incremental: Optional[bool] = None
-    ) -> None:
-        self._dag = dag
+    def __init__(self, dag: EnhancedDAG, deadline: int) -> None:
         self._deadline = int(deadline)
         self._order = dag.topological_order()
         self._position: Dict[Hashable, int] = {
@@ -78,20 +71,48 @@ class EstLstTracker:
         self._succs: List[List[int]] = [
             [position[succ] for succ in succ_map[node]] for node in self._order
         ]
-        if incremental is None:
-            incremental = not scalar_kernels_enabled()
-        self._incremental = bool(incremental)
         self._fixed: Dict[Hashable, int] = {}
         self._is_fixed: List[bool] = [False] * len(self._order)
-        self._est: List[int] = []
-        self._lst: List[int] = []
-        self._recompute()
+        self._est, self._lst = self._sweep()
+
+    def copy(self) -> "EstLstTracker":
+        """Return an independent tracker in the same state.
+
+        Only the mutable state (EST/LST rows, fixed starts) is copied; the
+        order, positions and adjacency are shared, since no fix alters them.
+        """
+        twin = copy.copy(self)
+        twin._fixed = dict(self._fixed)
+        twin._is_fixed = list(self._is_fixed)
+        twin._est = list(self._est)
+        twin._lst = list(self._lst)
+        return twin
 
     # ------------------------------------------------------------------ #
     @property
     def deadline(self) -> int:
         """The deadline ``T``."""
         return self._deadline
+
+    @property
+    def order(self) -> List[Hashable]:
+        """The topological order that defines the positions (treat as read-only)."""
+        return self._order
+
+    @property
+    def positions(self) -> Dict[Hashable, int]:
+        """Node → topological position (treat as read-only)."""
+        return self._position
+
+    @property
+    def est_row(self) -> List[int]:
+        """The live EST values by topological position (treat as read-only)."""
+        return self._est
+
+    @property
+    def lst_row(self) -> List[int]:
+        """The live LST values by topological position (treat as read-only)."""
+        return self._lst
 
     def est(self, node: Hashable) -> int:
         """Return the current earliest start time of *node*."""
@@ -147,10 +168,7 @@ class EstLstTracker:
             )
         self._fixed[node] = start
         self._is_fixed[index] = True
-        if self._incremental:
-            self._propagate_fix(index, start)
-        else:
-            self._recompute()
+        self._propagate_fix(index, start)
 
     # ------------------------------------------------------------------ #
     def _propagate_fix(self, index: int, start: int) -> None:
@@ -230,20 +248,12 @@ class EstLstTracker:
                     queued.add(-pred)
                     heapq.heappush(backward, -pred)
 
-    def _recompute(self) -> None:
-        """Recompute EST and LST with the fixed tasks pinned (two sweeps)."""
+    def _sweep(self) -> Tuple[List[int], List[int]]:
+        """Return the initial EST and LST rows (two sweeps, nothing fixed yet)."""
         num_nodes = len(self._order)
         duration, preds, succs = self._duration, self._preds, self._succs
-        is_fixed = self._is_fixed
-        fixed_value = [
-            self._fixed[node] if is_fixed[index] else 0
-            for index, node in enumerate(self._order)
-        ]
         est: List[int] = [0] * num_nodes
         for index in range(num_nodes):
-            if is_fixed[index]:
-                est[index] = fixed_value[index]
-                continue
             value = 0
             for pred, pred_duration in preds[index]:
                 finish = est[pred] + pred_duration
@@ -252,9 +262,6 @@ class EstLstTracker:
             est[index] = value
         lst: List[int] = [0] * num_nodes
         for index in range(num_nodes - 1, -1, -1):
-            if is_fixed[index]:
-                lst[index] = fixed_value[index]
-                continue
             successors = succs[index]
             if successors:
                 bound = lst[successors[0]]
@@ -269,5 +276,4 @@ class EstLstTracker:
                     f"task {self._order[index]!r} has an empty scheduling window "
                     f"[{est[index]}, {lst[index]}] for deadline {self._deadline}"
                 )
-        self._est = est
-        self._lst = lst
+        return est, lst

@@ -9,14 +9,20 @@ simply starts at its EST.  After a task has been placed, the budgets of the
 intervals it overlaps are decreased by the task's processor power (idle +
 working), the overlapped boundary intervals are split, and the EST/LST of all
 unscheduled tasks are updated (§5.2 of the paper).
+
+The 16 heuristics are 8 greedy configurations (slack/pressure × W × R), and
+on one instance they all start from the same EST/LST state, use one of 4
+score orders and one of 2 subdivisions.  :class:`GreedyPreparation` builds
+each of those pieces once, on first use; a run copies the pieces it needs and
+walks its order by topological position.
 """
 
 from __future__ import annotations
 
 import bisect
-from typing import List, Optional, Sequence, Tuple
-
-import numpy as np
+import copy
+from time import perf_counter
+from typing import Callable, Dict, Hashable, List, Optional, Sequence, Tuple
 
 from repro.carbon.intervals import PowerProfile
 from repro.core.estlst import EstLstTracker
@@ -30,70 +36,54 @@ from repro.schedule.instance import ProblemInstance
 from repro.schedule.schedule import Schedule
 from repro.utils.errors import CaWoSchedError
 
-__all__ = ["BudgetIntervals", "greedy_schedule"]
+__all__ = ["BudgetIntervals", "GreedyPreparation", "greedy_schedule"]
 
 
 class BudgetIntervals:
     """Mutable view of the green budget over a subdivision of the horizon.
 
-    The interval boundaries are kept as sorted Python lists (``bisect`` plus
-    ``list.insert`` beat array reallocation at these sizes) while the budgets
-    form an ``int64`` row, always contiguous over ``[0, T)``.  Placing a task
-    splits the partially covered first/last intervals and decreases the budget
-    of every interval the task overlaps in one slice subtraction; the best
-    start of a window is a ``bisect`` plus an ``argmax`` over the budget row
-    instead of a Python scan.
+    The interval begins and their budgets are parallel Python lists, always
+    contiguous over ``[0, T)``: interval ``i`` ends where interval ``i + 1``
+    begins.  The rows hold a few dozen entries, a size at which ``bisect``,
+    ``max``/``list.index`` and one list comprehension beat NumPy's per-call
+    overhead.  Placing a task splits the partially covered first/last
+    intervals and decreases the budget of every interval the task overlaps.
     """
 
     def __init__(self, profile: PowerProfile, subdivision_points: Sequence[int]) -> None:
-        points = sorted(set(subdivision_points) | {iv.begin for iv in profile.intervals()})
-        if not points or points[0] != 0:
-            points = [0] + [p for p in points if p != 0]
-        points = [p for p in points if 0 <= p < profile.horizon]
-        boundaries = points + [profile.horizon]
-        self._begins: List[int] = []
-        self._ends: List[int] = []
-        budgets: List[int] = []
-        for begin, end in zip(boundaries, boundaries[1:]):
-            if end <= begin:
-                continue
-            self._begins.append(begin)
-            self._ends.append(end)
-            budgets.append(profile.budget_at(begin))
-        self._budgets = np.asarray(budgets, dtype=np.int64)
+        horizon = profile.horizon
+        points = set(subdivision_points) | {iv.begin for iv in profile.intervals()}
+        self._horizon = horizon
+        self._begins: List[int] = sorted(p for p in points if 0 <= p < horizon)
+        self._budgets: List[int] = [profile.budget_at(begin) for begin in self._begins]
 
-    # ------------------------------------------------------------------ #
-    @property
-    def num_intervals(self) -> int:
-        """Current number of intervals."""
-        return len(self._begins)
+    def copy(self) -> "BudgetIntervals":
+        """Return an independent copy (the greedy runs of a job share one template)."""
+        twin = copy.copy(self)
+        twin._begins = list(self._begins)
+        twin._budgets = list(self._budgets)
+        return twin
 
     def intervals(self) -> List[Tuple[int, int, int]]:
         """Return the current (begin, end, budget) triples."""
-        return list(zip(self._begins, self._ends, self._budgets.tolist()))
-
-    def start_points(self) -> List[int]:
-        """Return the current interval start points."""
-        return list(self._begins)
+        ends = self._begins[1:] + [self._horizon]
+        return list(zip(self._begins, ends, self._budgets))
 
     def best_start(self, earliest: int, latest: int) -> Optional[int]:
         """Return the best interval start within ``[earliest, latest]``.
 
         "Best" means the interval with the highest remaining budget; ties are
-        broken towards the earliest start point (``argmax`` keeps the first
-        maximum).  Returns ``None`` when no interval starts inside the window.
+        broken towards the earliest start point (``list.index`` finds the
+        first maximum).  Returns ``None`` when no interval starts inside the
+        window.
         """
-        lo = bisect.bisect_left(self._begins, earliest)
-        hi = bisect.bisect_right(self._begins, latest)
+        begins = self._begins
+        lo = bisect.bisect_left(begins, earliest)
+        hi = bisect.bisect_right(begins, latest)
         if hi <= lo:
             return None
-        return self._begins[lo + int(self._budgets[lo:hi].argmax())]
-
-    def split_at(self, time: int) -> None:
-        """Split the interval containing *time* so that *time* becomes a boundary."""
-        if time <= 0 or time >= self._ends[-1]:
-            return
-        self._split_index(time)
+        window = self._budgets[lo:hi]
+        return begins[lo + window.index(max(window))]
 
     def _split_index(self, time: int) -> int:
         """Make *time* an interval boundary and return its interval index.
@@ -104,12 +94,8 @@ class BudgetIntervals:
         index = bisect.bisect_right(begins, time) - 1
         if begins[index] == time:
             return index
-        end, budget = self._ends[index], self._budgets[index]
-        # Shrink the existing interval and insert the right part after it.
-        self._ends[index] = time
         begins.insert(index + 1, time)
-        self._ends.insert(index + 1, end)
-        self._budgets = _insert_scalar(self._budgets, index + 1, budget)
+        self._budgets.insert(index + 1, self._budgets[index])
         return index + 1
 
     def consume(self, begin: int, end: int, power: int) -> None:
@@ -120,23 +106,112 @@ class BudgetIntervals:
         negative, which simply marks heavily loaded intervals as unattractive
         for subsequent tasks.
         """
-        horizon = int(self._ends[-1])
+        horizon = self._horizon
         begin = max(0, int(begin))
         end = min(horizon, int(end))
         if end <= begin:
             return
         lo = self._split_index(begin)
         hi = self._split_index(end) if end < horizon else len(self._begins)
-        self._budgets[lo:hi] -= power
+        budgets = self._budgets
+        budgets[lo:hi] = [budget - power for budget in budgets[lo:hi]]
 
 
-def _insert_scalar(row: np.ndarray, index: int, value: int) -> np.ndarray:
-    """Insert *value* at *index* (three slice copies, no ``np.insert`` axis machinery)."""
-    out = np.empty(len(row) + 1, dtype=row.dtype)
-    out[:index] = row[:index]
-    out[index] = value
-    out[index + 1 :] = row[index:]
-    return out
+class GreedyPreparation:
+    """The greedy pieces one instance's configurations share, built lazily.
+
+    The pieces are the initial EST/LST state with the duration and active
+    power rows by topological position, one task order per ``(base,
+    weighted)`` and one budget template per ``refined`` subdivision.  Each is
+    kept with the wall time its build took, so :meth:`run` charges a
+    configuration for every piece it uses, as a lone run would pay them.
+
+    Parameters
+    ----------
+    instance:
+        The problem instance.
+    block_size:
+        Maximum block size of the refined subdivision (the paper's ``k``).
+    """
+
+    def __init__(self, instance: ProblemInstance, *, block_size: int = DEFAULT_BLOCK_SIZE) -> None:
+        self.instance = instance
+        self.block_size = block_size
+        self._pieces: Dict[Hashable, Tuple[object, float]] = {}
+
+    def run(
+        self,
+        base: str,
+        weighted: bool = False,
+        refined: bool = False,
+        algorithm_name: Optional[str] = None,
+    ) -> Tuple[Schedule, float]:
+        """Run one greedy configuration; return its schedule and seconds.
+
+        The seconds cover the placement loop plus the build time of every
+        piece the configuration uses, whether built now or by an earlier run.
+        """
+        if base not in (SCORE_SLACK, SCORE_PRESSURE):
+            raise CaWoSchedError(f"unknown base score {base!r}")
+        (tracker, duration, power), state_seconds = self._piece("state", self._build_state)
+        order, order_seconds = self._piece(
+            ("order", base, weighted), lambda: self._build_order(tracker, base, weighted)
+        )
+        template, budget_seconds = self._piece(
+            ("budgets", refined), lambda: self._build_budgets(refined)
+        )
+
+        begin = perf_counter()
+        tracker = tracker.copy()
+        budgets = template.copy()
+        nodes, est, lst = tracker.order, tracker.est_row, tracker.lst_row
+        for index in order:
+            earliest = est[index]
+            start = budgets.best_start(earliest, lst[index])
+            if start is None:
+                start = earliest
+            tracker.fix(nodes[index], start)
+            budgets.consume(start, start + duration[index], power[index])
+        name = algorithm_name or _default_name(base, weighted, refined)
+        schedule = Schedule._trusted(self.instance, tracker.fixed_starts(), algorithm=name)
+        seconds = perf_counter() - begin
+        return schedule, state_seconds + order_seconds + budget_seconds + seconds
+
+    # ------------------------------------------------------------------ #
+    def _piece(self, key: Hashable, build: Callable[[], object]) -> Tuple[object, float]:
+        """Return ``(piece, build seconds)`` for *key*, building it on first use."""
+        if key not in self._pieces:
+            begin = perf_counter()
+            piece = build()
+            self._pieces[key] = (piece, perf_counter() - begin)
+        return self._pieces[key]
+
+    def _build_state(self) -> Tuple[EstLstTracker, List[int], List[int]]:
+        instance = self.instance
+        tracker = EstLstTracker(instance.dag, instance.deadline)
+        duration = instance.dag.duration_map()
+        power = instance.active_power_map
+        return (
+            tracker,
+            [duration[node] for node in tracker.order],
+            [power[node] for node in tracker.order],
+        )
+
+    def _build_order(self, tracker: EstLstTracker, base: str, weighted: bool) -> List[int]:
+        dag = self.instance.dag
+        scores = compute_scores(
+            dag, tracker.est_map(), tracker.lst_map(), base=base, weighted=weighted
+        )
+        position = tracker.positions
+        return [position[node] for node in task_order(dag, scores, base=base)]
+
+    def _build_budgets(self, refined: bool) -> BudgetIntervals:
+        instance = self.instance
+        if refined:
+            points = refined_subdivision(instance, block_size=self.block_size)
+        else:
+            points = original_subdivision(instance.profile)
+        return BudgetIntervals(instance.profile, points)
 
 
 def greedy_schedule(
@@ -171,33 +246,8 @@ def greedy_schedule(
         A feasible schedule of all tasks (the caller may refine it further
         with the local search).
     """
-    if base not in (SCORE_SLACK, SCORE_PRESSURE):
-        raise CaWoSchedError(f"unknown base score {base!r}")
-    dag = instance.dag
-    tracker = EstLstTracker(dag, instance.deadline)
-
-    scores = compute_scores(
-        dag, tracker.est_map(), tracker.lst_map(), base=base, weighted=weighted
-    )
-    order = task_order(dag, scores, base=base)
-
-    if refined:
-        points = refined_subdivision(instance, block_size=block_size)
-    else:
-        points = original_subdivision(instance.profile)
-    budgets = BudgetIntervals(instance.profile, points)
-
-    for node in order:
-        earliest = tracker.est(node)
-        latest = tracker.lst(node)
-        start = budgets.best_start(earliest, latest)
-        if start is None:
-            start = earliest
-        tracker.fix(node, start)
-        budgets.consume(start, start + dag.duration(node), instance.active_power_of(node))
-
-    name = algorithm_name or _default_name(base, weighted, refined)
-    return Schedule._trusted(instance, tracker.fixed_starts(), algorithm=name)
+    preparation = GreedyPreparation(instance, block_size=block_size)
+    return preparation.run(base, weighted, refined, algorithm_name)[0]
 
 
 def _default_name(base: str, weighted: bool, refined: bool) -> str:

@@ -13,7 +13,10 @@ from dataclasses import dataclass
 from time import perf_counter
 from typing import Callable, Dict, Iterable, Optional, Tuple
 
-from repro.core.greedy import greedy_schedule
+# perfbench/tracer.py resolves its ``core.greedy`` hook at this binding, so
+# ``greedy_schedule`` stays imported; the runner itself calls
+# ``GreedyPreparation.run``.
+from repro.core.greedy import GreedyPreparation, greedy_schedule  # noqa: F401
 from repro.core.local_search import DEFAULT_WINDOW, local_search
 from repro.core.subdivision import DEFAULT_BLOCK_SIZE
 from repro.core.variants import get_variant, variant_names
@@ -155,7 +158,10 @@ class CaWoSched:
         :class:`ScheduleResult` identical to a lone :meth:`run`, except that
         each greedy configuration ``(base, weighted, refined)`` is computed
         at most once per runner and shared: ``X`` returns that schedule and
-        ``X-LS`` improves it.  The greedy wall time is charged to every
+        ``X-LS`` improves it.  The configurations share one
+        :class:`~repro.core.greedy.GreedyPreparation` (initial EST/LST, score
+        orders, subdivisions).  The greedy wall time, including the build
+        time of each shared piece the configuration uses, is charged to every
         variant using the seed, so ``runtime_seconds`` is greedy + validation
         for ``X`` and greedy + local search + validation for ``X-LS``.
         """
@@ -177,6 +183,7 @@ class CaWoSched:
         self, instance: ProblemInstance
     ) -> Callable[[str], Tuple[Schedule, float]]:
         """Return ``variant -> (schedule, seconds)`` with one greedy seed per configuration."""
+        preparation = GreedyPreparation(instance, block_size=self.block_size)
         seeds: Dict[Tuple[Optional[str], bool, bool], Tuple[Schedule, float]] = {}
 
         def produce(variant: str) -> Tuple[Schedule, float]:
@@ -188,15 +195,7 @@ class CaWoSched:
             else:
                 key = (spec.base, spec.weighted, spec.refined)
                 if key not in seeds:
-                    begin = perf_counter()
-                    seed = greedy_schedule(
-                        instance,
-                        base=spec.base,
-                        weighted=spec.weighted,
-                        refined=spec.refined,
-                        block_size=self.block_size,
-                    )
-                    seeds[key] = (seed, perf_counter() - begin)
+                    seeds[key] = preparation.run(*key)
                 produced, seed_seconds = seeds[key]
                 begin = perf_counter()
                 if spec.local_search:

@@ -17,7 +17,7 @@ Both return exactly the same integer for any feasible schedule.
 
 from __future__ import annotations
 
-from typing import Dict, Hashable, List, Tuple
+from typing import Dict, List, Tuple
 
 import numpy as np
 
@@ -53,7 +53,12 @@ def carbon_cost(schedule: Schedule) -> int:
     The computation follows Appendix A.1 of the paper: the horizon is split at
     every profile boundary and at every task start/finish; within each
     resulting sub-interval the total platform power is constant, so the cost
-    is ``max(power − budget, 0)`` times the sub-interval length.
+    is ``max(power − budget, 0)`` times the sub-interval length.  The sweep
+    runs in NumPy over the instance's
+    :attr:`~repro.schedule.instance.ProblemInstance.cost_rows`: the profile
+    boundaries and task starts/finishes are sorted as one row, and a
+    ``cumsum`` of their deltas of ``power − budget`` gives every
+    sub-interval's excess.
 
     Tasks finishing after the horizon still contribute events; the cost beyond
     the horizon is accounted against the last interval's budget so that
@@ -61,39 +66,16 @@ def carbon_cost(schedule: Schedule) -> int:
     comparable cost.  Feasibility itself is checked separately by
     :func:`repro.schedule.validation.check_schedule`.
     """
-    instance = schedule.instance
-    profile = instance.profile
-    idle_power = instance.total_idle_power()
-
-    events = power_events(schedule)
-    boundaries = sorted(
-        set(profile.boundaries())
-        | {time for time, _ in events}
-        | {0}
-    )
-    # Make sure the sweep covers the full horizon even if no task touches it.
-    horizon_end = max(profile.horizon, boundaries[-1] if boundaries else 0)
-    if boundaries[-1] < horizon_end:
-        boundaries.append(horizon_end)
-
-    # Aggregate the power deltas per boundary time.
-    delta_at: Dict[int, int] = {}
-    for time, delta in events:
-        delta_at[time] = delta_at.get(time, 0) + delta
-
-    total_cost = 0
-    power = idle_power
-    last_budget = profile.interval(profile.num_intervals - 1).budget
-    for begin, end in zip(boundaries, boundaries[1:]):
-        power += delta_at.get(begin, 0)
-        if begin >= profile.horizon:
-            budget = last_budget
-        else:
-            budget = profile.budget_at(begin)
-        length = end - begin
-        if length > 0:
-            total_cost += max(power - budget, 0) * length
-    return int(total_cost)
+    rows = schedule.instance.cost_rows
+    start_of = schedule.start_times()
+    starts = np.fromiter(map(start_of.__getitem__, rows.nodes), np.int64, len(rows.nodes))
+    times = np.concatenate((rows.boundaries, starts, starts + rows.duration))
+    order = times.argsort()
+    # After the events up to a sorted position, the cumulative excess delta is
+    # the sub-interval's power minus its budget.  Events sharing a time are
+    # separated by zero-length sub-intervals, so their order does not matter.
+    excess = rows.excess_delta[order].cumsum()[:-1]
+    return int((np.maximum(excess, 0) * np.diff(times[order])).sum())
 
 
 def carbon_cost_per_time_unit(schedule: Schedule) -> int:

@@ -19,7 +19,7 @@ from repro.carbon.intervals import PowerProfile
 from repro.mapping.enhanced_dag import EnhancedDAG
 from repro.utils.errors import InfeasibleScheduleError, InvalidProfileError
 
-__all__ = ["ProblemInstance", "SearchArrays"]
+__all__ = ["ProblemInstance", "SearchArrays", "CostRows"]
 
 
 @dataclass(frozen=True)
@@ -106,6 +106,11 @@ class ProblemInstance:
         """Node-indexed arrays of the local search (computed once, read-only)."""
         return _build_search_arrays(self)
 
+    @cached_property
+    def cost_rows(self) -> "CostRows":
+        """Rows of the carbon-cost sweep (computed once, read-only)."""
+        return _build_cost_rows(self)
+
     def describe(self) -> Dict[str, object]:
         """Return a dictionary summary (used by experiment reports)."""
         summary: Dict[str, object] = {
@@ -189,3 +194,50 @@ def _build_search_arrays(instance: ProblemInstance) -> SearchArrays:
             instance.total_idle_power() - instance.profile.budgets_per_time_unit()
         ),
     )
+
+
+@dataclass(frozen=True, eq=False)
+class CostRows:
+    """Static rows of :func:`repro.schedule.cost.carbon_cost` (read-only).
+
+    The sweep's events are the profile boundaries, then the starts, then the
+    finishes of the nodes whose processor draws working power (the others
+    leave the platform power unchanged).  ``excess_delta`` holds each event's
+    change of ``power − budget``: at a boundary the idle power (at time 0) or
+    the budget drop, at a start ``+P_work``, at a finish ``−P_work``.  Past
+    the horizon the last interval's budget stays in force.
+    """
+
+    #: Nodes with non-zero working power, processor by processor.
+    nodes: Tuple[Hashable, ...]
+    duration: np.ndarray
+    #: Profile interval begins followed by the horizon.
+    boundaries: np.ndarray
+    excess_delta: np.ndarray
+
+
+def _build_cost_rows(instance: ProblemInstance) -> CostRows:
+    dag = instance.dag
+    platform = dag.platform
+    durations = dag.duration_map()
+    nodes: List[Hashable] = []
+    power: List[int] = []
+    for processor, tasks in dag.ordered_task_map().items():
+        work_power = platform.processor(processor).p_work
+        if work_power:
+            nodes += tasks
+            power += [work_power] * len(tasks)
+    budgets = [interval.budget for interval in instance.profile.intervals()]
+    # Boundary ``i`` replaces budget ``i - 1`` by budget ``i``; the horizon
+    # boundary keeps the last budget.
+    drops = [instance.total_idle_power() - budgets[0]]
+    drops += [before - after for before, after in zip(budgets, budgets[1:])] + [0]
+    rows = CostRows(
+        nodes=tuple(nodes),
+        duration=np.array([durations[node] for node in nodes], dtype=np.int64),
+        boundaries=np.array(instance.profile.boundaries(), dtype=np.int64),
+        excess_delta=np.array(drops + power + [-value for value in power], dtype=np.int64),
+    )
+    for row in (rows.duration, rows.boundaries, rows.excess_delta):
+        row.setflags(write=False)
+    return rows

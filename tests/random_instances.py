@@ -8,13 +8,14 @@ from hypothesis import strategies as st
 
 from repro.carbon.scenarios import generate_power_profile
 from repro.core.greedy import greedy_schedule
+from repro.experiments.instances import InstanceSpec, make_instance
 from repro.mapping.enhanced_dag import build_enhanced_dag
 from repro.mapping.heft import heft_mapping
 from repro.platform_.cluster import Cluster
 from repro.platform_.presets import cluster_from_table1
 from repro.schedule.asap import asap_makespan, asap_schedule
 from repro.schedule.instance import ProblemInstance
-from repro.workflow.generators import generate_workflow
+from repro.workflow.generators import WORKFLOW_FAMILIES, generate_workflow
 
 
 def build_random_instance(family: str, num_tasks: int, scenario: str,
@@ -46,6 +47,19 @@ LS_SPEC_STRATEGY = st.tuples(
     st.integers(0, 10**6),
     st.sampled_from([(1, 2), (0, 1), (0, 0)]),
 )
+
+
+#: Paper-grid instances: every family, the small and large scaled clusters,
+#: S1–S4 and deadline factors 1–3.
+GRID_INSTANCES = st.builds(
+    InstanceSpec,
+    family=st.sampled_from(sorted(WORKFLOW_FAMILIES)),
+    num_tasks=st.integers(min_value=6, max_value=30),
+    cluster=st.sampled_from(["small", "large"]),
+    scenario=st.sampled_from(["S1", "S2", "S3", "S4"]),
+    deadline_factor=st.sampled_from([1.0, 1.25, 1.5, 2.0, 3.0]),
+    seed=st.integers(min_value=0, max_value=2**16),
+).map(make_instance)
 
 
 def ls_seed(instance: ProblemInstance, kind: str, refined: bool):

@@ -5,8 +5,8 @@ Each hot path is pinned *byte-identical* to a straightforward reference:
 * ``PowerTimeline.gain_profile`` equals a loop of scalar ``move_gain`` calls,
 * ``local_search`` returns the same start times as the per-candidate hill
   climber kept in :mod:`local_search_oracle`,
-* ``EstLstTracker`` produces identical EST/LST maps incrementally and with
-  the full two-sweep recompute,
+* ``EstLstTracker`` produces the EST/LST maps of the full two-sweep
+  recompute kept in :mod:`estlst_oracle` after every fix,
 * the lag-difference form of ``block_alignment_points`` equals the original
   per-(block, alignment, task) enumeration.
 """
@@ -18,6 +18,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from estlst_oracle import RecomputeTracker
+from greedy_oracle import oracle_greedy_schedule
 from local_search_oracle import oracle_local_search
 from random_instances import LS_SPEC_STRATEGY, build_random_instance, ls_seed
 from repro.core.estlst import EstLstTracker
@@ -28,7 +30,6 @@ from repro.platform_.presets import scaled_large_cluster
 from repro.schedule.asap import asap_schedule
 from repro.schedule.instance import ProblemInstance
 from repro.schedule.timeline import PowerTimeline
-from repro.utils.kernels import SCALAR_KERNELS_ENV
 from repro.utils.rng import ensure_rng
 
 INSTANCE_STRATEGY = st.builds(
@@ -118,7 +119,7 @@ class TestLocalSearchParity:
             assert kernel.start_times() == oracle.start_times()
             assert kernel.start_times() != seed.start_times()
 
-    def test_seed_grid_byte_identity(self, monkeypatch):
+    def test_seed_grid_byte_identity(self):
         from repro.core.scheduler import CaWoSched
         from repro.core.variants import get_variant
         from repro.experiments.instances import default_grid, make_instance
@@ -131,17 +132,15 @@ class TestLocalSearchParity:
             for variant in variants:
                 fast = scheduler.schedule(instance, variant)
                 config = get_variant(variant)
-                # Reference: greedy under the full EST/LST recompute, then
+                # Reference: the oracle greedy (full EST/LST recompute), then
                 # the oracle hill climber.
-                with monkeypatch.context() as patch:
-                    patch.setenv(SCALAR_KERNELS_ENV, "1")
-                    seed = greedy_schedule(
-                        instance,
-                        base=config.base,
-                        weighted=config.weighted,
-                        refined=config.refined,
-                        block_size=scheduler.block_size,
-                    )
+                seed = oracle_greedy_schedule(
+                    instance,
+                    base=config.base,
+                    weighted=config.weighted,
+                    refined=config.refined,
+                    block_size=scheduler.block_size,
+                )
                 slow = oracle_local_search(
                     seed, window=scheduler.window, algorithm_name=variant
                 )
@@ -153,8 +152,8 @@ class TestEstLstParity:
     @settings(max_examples=25, deadline=None)
     def test_incremental_fix_matches_full_recompute(self, instance, seed):
         dag = instance.dag
-        incremental = EstLstTracker(dag, instance.deadline, incremental=True)
-        reference = EstLstTracker(dag, instance.deadline, incremental=False)
+        incremental = EstLstTracker(dag, instance.deadline)
+        reference = RecomputeTracker(dag, instance.deadline)
         assert incremental.est_map() == reference.est_map()
         assert incremental.lst_map() == reference.lst_map()
 

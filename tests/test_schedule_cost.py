@@ -3,7 +3,11 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from cost_oracle import oracle_carbon_cost
+from random_instances import build_random_instance
 from repro.carbon.intervals import PowerProfile
 from repro.mapping.enhanced_dag import build_enhanced_dag
 from repro.mapping.mapping import Mapping
@@ -72,6 +76,83 @@ class TestEvaluatorEquivalence:
 
     def test_costs_are_non_negative(self, tiny_multi_instance):
         assert carbon_cost(asap_schedule(tiny_multi_instance)) >= 0
+
+
+def _drawn_schedule(instance, offsets):
+    """Start times from *offsets*: ``-1`` ends the node exactly at ``T``,
+    anything else is the start itself (possibly finishing past ``T``)."""
+    durations = instance.dag.duration_map()
+    deadline = instance.deadline
+    return Schedule(
+        instance,
+        {
+            node: max(0, deadline - durations[node]) if offset < 0 else offset
+            for node, offset in zip(instance.dag.nodes(), offsets)
+        },
+    )
+
+
+class TestSweepParity:
+    """The NumPy sweep against the original Python sweep and the literal
+    per-time-unit definition, on arbitrary (also infeasible) start times."""
+
+    @given(
+        spec=st.tuples(
+            st.sampled_from(["atacseq", "eager", "forkjoin", "chain"]),
+            st.integers(6, 20),
+            st.sampled_from(["S1", "S2", "S3", "S4"]),
+            st.sampled_from([1.0, 1.5, 3.0]),
+            st.integers(0, 10**6),
+            # (0, 0): links drawing no working power.
+            st.sampled_from([(1, 2), (0, 1), (0, 0)]),
+        ),
+        data=st.data(),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_sweep_matches_oracles(self, spec, data):
+        instance = build_random_instance(*spec)
+        deadline = instance.deadline
+        offsets = data.draw(
+            st.lists(
+                st.integers(-1, deadline + 3),
+                min_size=instance.num_tasks,
+                max_size=instance.num_tasks,
+            )
+        )
+        schedule = _drawn_schedule(instance, offsets)
+        expected = oracle_carbon_cost(schedule)
+        assert carbon_cost(schedule) == expected == carbon_cost_per_time_unit(schedule)
+
+    def test_every_task_ending_at_the_deadline(self, tiny_multi_instance):
+        schedule = _drawn_schedule(tiny_multi_instance, [-1] * tiny_multi_instance.num_tasks)
+        assert schedule.makespan == tiny_multi_instance.deadline
+        expected = oracle_carbon_cost(schedule)
+        assert carbon_cost(schedule) == expected == carbon_cost_per_time_unit(schedule)
+
+    @pytest.mark.parametrize("start", [0, 3, 7, 12])
+    def test_zero_work_power_processor(self, start):
+        # No node enters the sweep: only the idle power against the budgets,
+        # past the horizon against the last budget.
+        profile = PowerProfile([4, 6], [1, 3])
+        instance = single_task_instance(5, p_idle=2, p_work=0, profile=profile)
+        schedule = Schedule(instance, {"t": start})
+        assert instance.cost_rows.nodes == ()
+        expected = oracle_carbon_cost(schedule)
+        assert carbon_cost(schedule) == expected == carbon_cost_per_time_unit(schedule)
+
+    def test_past_horizon_uses_the_last_budget(self):
+        profile = PowerProfile([5, 5], [9, 1])
+        instance = single_task_instance(4, p_idle=1, p_work=2, profile=profile)
+        # Runs [8, 12): power 3 against budget 1 for 4 units, 2 of them past
+        # T = 10; idle 1 against 9 then 1 costs nothing elsewhere.
+        schedule = Schedule(instance, {"t": 8})
+        assert carbon_cost(schedule) == 8 == oracle_carbon_cost(schedule)
+
+    def test_rows_are_built_once_and_read_only(self, tiny_multi_instance):
+        rows = tiny_multi_instance.cost_rows
+        assert tiny_multi_instance.cost_rows is rows
+        with pytest.raises(ValueError):
+            rows.excess_delta[0] = 0
 
 
 class TestPowerEvents:

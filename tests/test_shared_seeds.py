@@ -1,29 +1,35 @@
-"""One greedy seed per configuration per call.
+"""One greedy seed per configuration, one greedy preparation per call.
 
 A job that runs both ``X`` and ``X-LS`` computes the greedy schedule of
-``X``'s configuration once: ``X`` returns it and ``X-LS`` improves it.  These
-tests pin that sharing the seed changes nothing observable — every result
-equals a lone run of its variant — and that the work really is shared.
+``X``'s configuration once: ``X`` returns it and ``X-LS`` improves it.  The
+8 configurations share one :class:`GreedyPreparation`: one initial EST/LST
+sweep, one score order per ``(base, weighted)`` and one subdivision per
+``refined``.  These tests pin that sharing changes nothing observable —
+every result equals a lone run of its variant — and that the work really is
+shared.
 """
 
 from __future__ import annotations
 
 import dataclasses
+from collections import Counter
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from random_instances import GRID_INSTANCES
+import repro.core.greedy as greedy_module
 import repro.core.scheduler as scheduler_module
 from repro.api import Job
 from repro.api.execute import execute_job, record_for
 from repro.api.registry import AlgorithmCapabilities, AlgorithmRegistry
+from repro.core.greedy import GreedyPreparation, greedy_schedule
 from repro.core.local_search import local_search
 from repro.core.scheduler import CaWoSched
 from repro.core.variants import GREEDY_VARIANTS, variant_names
 from repro.experiments.instances import InstanceSpec, make_instance
 from repro.schedule.asap import asap_schedule
-from repro.workflow.generators import WORKFLOW_FAMILIES
 
 THIRD_PARTY = "asap-polished"
 NAMES = variant_names()
@@ -51,17 +57,6 @@ def _private_registry() -> AlgorithmRegistry:
         ),
     )
     return registry
-
-
-INSTANCES = st.builds(
-    InstanceSpec,
-    family=st.sampled_from(sorted(WORKFLOW_FAMILIES)),
-    num_tasks=st.integers(min_value=6, max_value=30),
-    cluster=st.sampled_from(["small", "large"]),
-    scenario=st.sampled_from(["S1", "S2", "S3", "S4"]),
-    deadline_factor=st.sampled_from([1.0, 1.25, 1.5, 2.0, 3.0]),
-    seed=st.integers(min_value=0, max_value=2**16),
-).map(make_instance)
 
 
 @st.composite
@@ -96,7 +91,7 @@ def _untimed(record):
 SMALL_SPEC = InstanceSpec("atacseq", 20, "small", "S1", 2.0, seed=0)
 
 
-@given(instance=INSTANCES, names=variant_lists())
+@given(instance=GRID_INSTANCES, names=variant_lists())
 @example(instance=make_instance(SMALL_SPEC), names=["pressWR-LS", "pressWR"])
 @example(instance=make_instance(SMALL_SPEC), names=["slack", "slack", "slack-LS", "slack"])
 @example(
@@ -141,13 +136,13 @@ def test_local_search_leaves_the_shared_seed_untouched():
 @pytest.fixture
 def greedy_calls(monkeypatch):
     calls = []
-    original = scheduler_module.greedy_schedule
+    original = GreedyPreparation.run
 
-    def spy(instance, **kwargs):
-        calls.append(kwargs)
-        return original(instance, **kwargs)
+    def spy(self, base, weighted=False, refined=False, algorithm_name=None):
+        calls.append({"base": base, "weighted": weighted, "refined": refined})
+        return original(self, base, weighted, refined, algorithm_name)
 
-    monkeypatch.setattr(scheduler_module, "greedy_schedule", spy)
+    monkeypatch.setattr(GreedyPreparation, "run", spy)
     return calls
 
 
@@ -179,11 +174,81 @@ def test_each_call_starts_with_an_empty_memo(greedy_calls):
     assert len(greedy_calls) == 3
 
 
+PIECES = ("EstLstTracker", "task_order", "original_subdivision", "refined_subdivision")
+
+
+@pytest.fixture
+def pieces(monkeypatch):
+    """Count the builds of each shared greedy piece and of preparations."""
+    counts = Counter()
+
+    def counting(name, build):
+        def counted(*args, **kwargs):
+            counts[name] += 1
+            return build(*args, **kwargs)
+
+        return counted
+
+    for name in PIECES:
+        monkeypatch.setattr(greedy_module, name, counting(name, getattr(greedy_module, name)))
+    monkeypatch.setattr(
+        scheduler_module,
+        "GreedyPreparation",
+        counting("GreedyPreparation", GreedyPreparation),
+    )
+    return counts
+
+
+def test_full_job_builds_each_shared_piece_once(pieces):
+    instance = make_instance(SMALL_SPEC)
+    results, _ = execute_job(Job.from_instance(instance))
+    assert len(results) == 17
+    assert pieces == Counter(
+        GreedyPreparation=1,
+        EstLstTracker=1,
+        task_order=4,
+        original_subdivision=1,
+        refined_subdivision=1,
+    )
+
+
+def test_lone_slack_run_builds_only_what_it_uses(pieces):
+    instance = make_instance(SMALL_SPEC)
+    CaWoSched().run(instance, "slack")
+    expected = Counter(EstLstTracker=1, task_order=1, original_subdivision=1)
+    assert pieces == expected + Counter(GreedyPreparation=1)
+    pieces.clear()
+    greedy_schedule(instance, base="slack")
+    assert pieces == expected
+
+
+def test_each_call_prepares_afresh(pieces):
+    instance = make_instance(SMALL_SPEC)
+    scheduler = CaWoSched()
+    scheduler.run(instance, "slack")
+    scheduler.run(instance, "slack")
+    scheduler.run_many(instance, ["slack", "slackW", "slack"])
+    assert pieces["GreedyPreparation"] == 3
+    assert pieces["EstLstTracker"] == 3
+    assert pieces["task_order"] == 4
+
+
 @pytest.fixture
 def step_clock(monkeypatch):
-    """Replace the scheduler's clock with one that advances 1 s per reading."""
+    """Replace the scheduler's and the greedy phase's clock with one that
+    advances 1 s per reading."""
     ticks = iter(range(10**6))
-    monkeypatch.setattr(scheduler_module, "perf_counter", lambda: float(next(ticks)))
+
+    def clock():
+        return float(next(ticks))
+
+    monkeypatch.setattr(scheduler_module, "perf_counter", clock)
+    monkeypatch.setattr(greedy_module, "perf_counter", clock)
+
+
+#: Clock steps of a greedy seed: the initial EST/LST state, the score order,
+#: the subdivision and the placement loop each span one.
+GREEDY_STEPS = 4.0
 
 
 @pytest.mark.parametrize(
@@ -192,14 +257,27 @@ def step_clock(monkeypatch):
 def test_local_search_runtime_includes_the_shared_greedy_time(step_clock, names):
     instance = make_instance(SMALL_SPEC)
     results = CaWoSched().run_many(instance, names)
-    # Every timed phase spans exactly one clock step: the greedy seed (once),
-    # then each variant's own local search + validation.
+    # The greedy seed is computed once, then each variant's own local search
+    # + validation spans one more step.
     own_step = 1.0
-    assert results["pressWR"].runtime_seconds == 2.0
-    assert results["pressWR-LS"].runtime_seconds == 2.0
+    assert results["pressWR"].runtime_seconds == GREEDY_STEPS + own_step
+    assert results["pressWR-LS"].runtime_seconds == GREEDY_STEPS + own_step
     assert results["pressWR-LS"].runtime_seconds > own_step
+
+
+def test_each_configuration_is_charged_the_pieces_it_uses(step_clock):
+    # Later configurations reuse the pieces built by earlier ones, yet every
+    # runtime equals that of a lone run, which builds all of them itself.
+    instance = make_instance(SMALL_SPEC)
+    results = CaWoSched().run_many(instance)
+    for name, result in results.items():
+        expected = 1.0 if name == "ASAP" else GREEDY_STEPS + 1.0
+        assert result.runtime_seconds == expected, name
+        assert CaWoSched().run(instance, name).runtime_seconds == expected, name
 
 
 def test_baseline_runtime_has_no_greedy_share(step_clock):
     instance = make_instance(SMALL_SPEC)
     assert CaWoSched().run(instance, "ASAP").runtime_seconds == 1.0
+    results = CaWoSched().run_many(instance, ["pressWR", "ASAP"])
+    assert results["ASAP"].runtime_seconds == 1.0
